@@ -36,10 +36,9 @@ class ReplicaProfile:
 
     A profile scales the world's base :class:`HardwareConfig` rather than
     replacing it, so fleet shapes stay portable across models and testbeds.
-    Every scale defaults to ``1.0`` — and because ``x * 1.0 == x`` exactly
-    in IEEE-754, a default profile derives a hardware config that is
-    *equal* to the base, which is what keeps a homogeneous-profile fleet
-    byte-identical to the legacy identical-replica cluster by construction.
+    Every scale defaults to ``1.0``, and a default profile returns the
+    base hardware and budget unchanged, so every replica of a homogeneous
+    fleet — profiled or not — is built from the same base machine.
 
     ``dollars_per_hour`` and ``spot`` feed the price-aware autoscaler and
     the SLO-per-dollar fleet benchmark; they never touch latency.
@@ -216,10 +215,11 @@ class AutoscalerConfig:
 class ResilienceConfig:
     """Knobs of the cluster resilience layer (all features opt-in).
 
-    Attached to :class:`ClusterSpec`; ``None`` on the spec means the
-    driver takes exactly the legacy dispatch path and reports stay
-    byte-identical to a pre-resilience run.  Each feature degrades to
-    off when its knob is ``None``:
+    Attached to :class:`ClusterSpec`.  Every cluster run tracks one
+    outcome per request on the same dispatch path; ``None`` on the spec
+    leaves every gate below off, and the report carries a
+    ``resilience`` section only when this config or cluster faults are
+    set.  Each feature degrades to off when its knob is ``None``:
 
     - **admission control** — a token bucket (``admission_rate`` /
       ``admission_burst``) plus the degradation ladder's shed rung;
@@ -376,19 +376,20 @@ class ClusterSpec:
 
     resilience: ResilienceConfig | None = None
     """Cluster resilience layer (admission control, degradation ladder,
-    retry budgets, hedged dispatch, circuit breakers).  ``None`` keeps
-    the legacy dispatch path and byte-identical reports."""
+    retry budgets, hedged dispatch, circuit breakers).  ``None`` turns
+    every gate off and omits the report's ``resilience`` section (unless
+    cluster faults are scripted)."""
 
     profiles: tuple[ReplicaProfile, ...] | None = None
     """Per-replica hardware profiles; replica ``i`` (including replicas
     spawned later by the autoscaler) uses ``profiles[i % len(profiles)]``.
-    ``None`` keeps every replica on the world's base hardware and the
-    legacy byte-identical report shape."""
+    ``None`` keeps every replica on the world's base hardware and omits
+    the report's ``fleet`` section."""
 
     placement: str | None = None
     """Expert-placement strategy pre-warming each replica's cache from a
-    :class:`~repro.cluster.placement.PlacementPlan` (``None``: no plan,
-    legacy behaviour)."""
+    :class:`~repro.cluster.placement.PlacementPlan` (``None``: no plan and,
+    without ``profiles``, no ``fleet`` report section)."""
 
     def __post_init__(self) -> None:
         if self.replicas < 1:

@@ -16,6 +16,13 @@ shared :func:`~repro.experiments.common.make_engine` path and requests
 flow through the same :meth:`ServingEngine.serve_step` /
 :meth:`ServingEngine.finalize_report` calls, so the reports are
 byte-identical.
+
+Every request takes one path — admission, then one or more dispatch
+attempts, then a finish — and resolves to exactly one
+:class:`~repro.cluster.metrics.RequestOutcome`.  Resilience features and
+cluster faults only add gates and attempts along that path; whether the
+``resilience`` section appears in the report is a format choice made
+once, at construction.
 """
 
 from __future__ import annotations
@@ -131,12 +138,6 @@ class ClusterDriver:
         self.slo_tracker = slo_tracker
         self._suites: dict[int, object] = {}
         self.violations: list = []
-        # Heterogeneous-fleet mode: per-replica profiles and/or an expert
-        # placement plan.  When both are absent every branch below takes
-        # the legacy path and the run stays byte-identical.
-        self.fleet_active = (
-            spec.profiles is not None or spec.placement is not None
-        )
         self._base_budget = (
             cache_budget_bytes
             if cache_budget_bytes is not None
@@ -172,7 +173,7 @@ class ClusterDriver:
         self._probe = world.fresh_model()
         self.replicas: list[Replica] = []
         self.report = ClusterReport(system=system, router=spec.router)
-        if self.fleet_active:
+        if spec.profiles is not None or spec.placement is not None:
             fleet = FleetReport(placement=spec.placement)
             if self.plan is not None:
                 fleet.placement_cost = self.plan.cost
@@ -182,21 +183,17 @@ class ClusterDriver:
                 ]
                 fleet.unplaced_experts = len(self.plan.unplaced)
             self.report.fleet = fleet
-        # Resilience layer.  ``tracked`` turns on outcome accounting and
-        # the resilient dispatch path; it engages when either resilience
-        # features or cluster-scope faults are present, so a no-resilience
-        # baseline under a fault schedule still produces comparable
-        # request-level outcomes.  When both are absent the driver takes
-        # exactly the legacy code path (byte-identical reports).
         self.resilience = spec.resilience
         self.cluster_faults = (
             cluster_faults
             if cluster_faults is not None and not cluster_faults.is_zero
             else None
         )
-        self.tracked = (
-            self.resilience is not None or self.cluster_faults is not None
-        )
+        # Every run counts outcomes; the resilience section is reported
+        # only when resilience features or cluster faults are configured.
+        self._res = ResilienceReport()
+        if self.resilience is not None or self.cluster_faults is not None:
+            self.report.resilience = self._res
         self._seq = 0
         self._fault_order = 0
         self._last_rung = RUNG_FULL
@@ -208,28 +205,24 @@ class ClusterDriver:
         self._ladder: DegradationLadder | None = None
         self._retry_budget = DispatchBudget(0.0)
         self._hedge_budget = DispatchBudget(0.0)
-        if self.tracked:
-            self.report.resilience = ResilienceReport()
-            cfg = self.resilience
-            if cfg is not None:
-                if cfg.admission_rate is not None:
-                    self._bucket = TokenBucket(
-                        cfg.admission_rate, cfg.admission_burst
-                    )
-                self._ladder = DegradationLadder(cfg)
-                self._retry_budget = DispatchBudget(
-                    cfg.retry_budget_fraction
+        self._max_attempts = 1
+        cfg = self.resilience
+        if cfg is not None:
+            self._max_attempts = cfg.max_attempts_per_request
+            if cfg.admission_rate is not None:
+                self._bucket = TokenBucket(
+                    cfg.admission_rate, cfg.admission_burst
                 )
-                self._hedge_budget = DispatchBudget(
-                    cfg.hedge_budget_fraction
+            self._ladder = DegradationLadder(cfg)
+            self._retry_budget = DispatchBudget(cfg.retry_budget_fraction)
+            self._hedge_budget = DispatchBudget(cfg.hedge_budget_fraction)
+        if self.cluster_faults is not None:
+            for crash in self.cluster_faults.expand_crashes():
+                self._fault_order += 1
+                heapq.heappush(
+                    self._fault_events,
+                    (crash.time, self._fault_order, "crash", crash),
                 )
-            if self.cluster_faults is not None:
-                for crash in self.cluster_faults.expand_crashes():
-                    self._fault_order += 1
-                    heapq.heappush(
-                        self._fault_events,
-                        (crash.time, self._fault_order, "crash", crash),
-                    )
         for _ in range(spec.replicas):
             self._spawn(now=0.0)
 
@@ -286,30 +279,27 @@ class ClusterDriver:
                 store_capacity=config.store_capacity,
                 shared_store=self._shared_store,
             )
+        # Each replica derives its latency constants and expert cache
+        # from its profile; a default profile returns the base hardware
+        # and leaves the budget untouched.
         profile = self.spec.profile_for(replica_id)
-        replica_hardware = None
-        replica_budget = self.cache_budget_bytes
-        if self.fleet_active:
-            # Each replica derives its own latency constants and expert
-            # cache from its profile.  A default profile reproduces the
-            # base hardware and budget exactly (x * 1.0 == x), which is
-            # what keeps homogeneous fleets byte-identical to legacy.
-            replica_hardware = profile.apply(self.world.config.hardware)
+        hardware = profile.apply(self.world.config.hardware)
+        budget = self.cache_budget_bytes
+        if profile.vram_scale != 1.0:
             # Same floor resolve_budget applies: the pool needs at least
             # one expert per GPU even on a VRAM-scaled-down replica.
-            model = self.world.model_config
-            replica_budget = max(
+            budget = max(
                 profile.scale_budget(self._base_budget),
-                replica_hardware.num_gpus * model.expert_bytes,
+                hardware.num_gpus * self.world.model_config.expert_bytes,
             )
         engine = make_engine(
             self.world,
             self.system,
             policy=policy,
-            cache_budget_bytes=replica_budget,
+            cache_budget_bytes=budget,
             faults=self._replica_faults(replica_id),
             slo=self.slo,
-            hardware=replica_hardware,
+            hardware=hardware,
         )
         if self.spec.warm and not restart:
             if self._shared_store is None:
@@ -336,11 +326,7 @@ class ClusterDriver:
             from repro.validate.monitors import MonitorSuite
 
             self._suites[replica_id] = MonitorSuite().bind(engine)
-        replica = Replica(
-            replica_id,
-            engine,
-            profile=profile if self.fleet_active else None,
-        )
+        replica = Replica(replica_id, engine, profile=profile)
         replica.spawned_at = now
         self.replicas.append(replica)
         if self.report.fleet is not None:
@@ -469,83 +455,9 @@ class ClusterDriver:
         )
         return session.embedding
 
-    def _dispatch(self, request: Request) -> None:
-        """Route and serve one request at its arrival time."""
-        if self.fleet_series is not None:
-            self.fleet_series.maybe_sample(request.arrival_time, self)
-        if self.tracked:
-            self._dispatch_resilient(request)
-            return
-        now = request.arrival_time
-        self._retire_drained(now)
-        self._autoscale(now)
-        if self.journeys is not None:
-            self.journeys.begin_request(request.request_id, now)
-        routable = self._routable(now)
-        decision = self.router.select(
-            request, self._embedding(request), routable, now
-        )
-        replica = decision.replica
-        self.report.routed += 1
-        if decision.reason == "affinity":
-            self.report.affinity_routed += 1
-        elif decision.reason == "fallback":
-            self.report.fallback_routed += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_cluster_routed_total",
-                "Requests dispatched, by replica and decision reason",
-            ).inc(replica=str(replica.replica_id), reason=decision.reason)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "route",
-                now,
-                tid=CLUSTER_LANE,
-                category="cluster",
-                request=request.request_id,
-                replica=replica.replica_id,
-                reason=decision.reason,
-                score=round(decision.score, 4),
-            )
-        if self.journeys is not None:
-            self.journeys.begin_attempt(
-                request.request_id, "primary", replica.replica_id, now
-            )
-        finish = replica.serve(request)
-        if finish is None:
-            if self.journeys is not None:
-                self.journeys.end_attempt("shed")
-                self.journeys.resolve_shed(request.request_id, "replica")
-            return
-        served = replica.report.requests[-1]
-        if self.journeys is not None:
-            self.journeys.end_attempt("served", served)
-            self.journeys.resolve_served(
-                request.request_id,
-                replica.replica_id,
-                served.e2e_latency,
-                served.ttft,
-                served.finish_time,
-            )
-        if self.tracer is not None:
-            self.tracer.complete(
-                f"request {request.request_id}",
-                served.start_time,
-                served.finish_time,
-                tid=replica_lane(replica.replica_id),
-                category="cluster",
-                ttft=round(served.ttft, 6),
-            )
-        if self.autoscaler is not None:
-            self.autoscaler.observe_ttft(served.ttft, replica.replica_id)
-
-    # ------------------------------------------------------------------ #
-    # Resilient dispatch
-    # ------------------------------------------------------------------ #
-
     def _note_breaker(self, replica_id: int, time: float, state: str) -> None:
         """Journal one breaker transition (sequenced against dispatches)."""
-        res = self.report.resilience
+        res = self._res
         if state == BREAKER_OPEN:
             res.breaker_opens += 1
         elif state == "closed":
@@ -582,7 +494,7 @@ class ClusterDriver:
         if replica.retired or replica.crashed:
             return
         lost = replica.crash(time)
-        res = self.report.resilience
+        res = self._res
         res.crashes += 1
         if self.metrics is not None:
             self.metrics.counter(
@@ -616,7 +528,7 @@ class ClusterDriver:
 
     def _apply_restart(self, time: float, crash: ReplicaCrash) -> None:
         """A crashed replica's replacement rejoins the fleet (cold)."""
-        res = self.report.resilience
+        res = self._res
         replica = self._spawn(time, restart=True)
         res.restarts += 1
         if self.metrics is not None:
@@ -638,27 +550,24 @@ class ClusterDriver:
         self, request: Request, crash_time: float, crashed_id: int
     ) -> None:
         """Fail a crash-lost request over, retry budget permitting."""
-        cfg = self.resilience
-        res = self.report.resilience
+        res = self._res
         outcome = self._outcomes[request.request_id]
         outcome.outcome = "pending"
         outcome.replica_id = None
         outcome.latency = None
         outcome.ttft = None
-        if (
-            cfg is not None
-            and outcome.attempts < cfg.max_attempts_per_request
-            and self._retry_budget.try_take(self.report.routed)
+        if outcome.attempts < self._max_attempts and (
+            self._retry_budget.try_take(self.report.routed)
         ):
             retry = replace(request, arrival_time=crash_time)
-            self._serve_resilient(
+            self._serve(
                 retry,
                 outcome,
                 self._current_rung(crash_time),
                 excluded={crashed_id},
             )
             return
-        if cfg is not None and outcome.attempts < cfg.max_attempts_per_request:
+        if outcome.attempts < self._max_attempts:
             res.retry_budget_exhausted += 1
         outcome.outcome = "failed"
         outcome.reason = "crash"
@@ -667,36 +576,12 @@ class ClusterDriver:
         if self.journeys is not None:
             self.journeys.resolve_failed(request.request_id, "crash")
 
-    def _current_rung(self, now: float) -> int:
-        """The degradation-ladder rung for the fleet's health at ``now``."""
-        if self._ladder is None:
-            return RUNG_FULL
-        accepting = self._accepting()
-        if not accepting:
-            return RUNG_FULL
-        depth = sum(
-            r.outstanding_requests(now) for r in accepting
-        ) / len(accepting)
-        open_fraction = 0.0
-        if self._breakers:
-            open_count = sum(
-                1
-                for r in accepting
-                if self._breakers[r.replica_id].state(now) == BREAKER_OPEN
-            )
-            open_fraction = open_count / len(accepting)
-        return self._ladder.rung(depth, open_fraction)
+    def _current_rung(self, now: float, peek: bool = False) -> int:
+        """The degradation-ladder rung for the fleet's health at ``now``.
 
-    def breaker_for(self, replica_id: int) -> CircuitBreaker | None:
-        """This replica's circuit breaker (None when breakers are off)."""
-        return self._breakers.get(replica_id)
-
-    def peek_rung(self, now: float) -> int:
-        """:meth:`_current_rung` as a pure read (for samplers).
-
-        Uses :meth:`CircuitBreaker.peek` so observing the fleet never
-        promotes a breaker (promotions journal a sequenced transition,
-        which would change the report).
+        ``peek`` reads breakers with :meth:`CircuitBreaker.peek`, so
+        observing the fleet never promotes a breaker (promotions journal
+        a sequenced transition, which would change the report).
         """
         if self._ladder is None:
             return RUNG_FULL
@@ -708,17 +593,26 @@ class ClusterDriver:
         ) / len(accepting)
         open_fraction = 0.0
         if self._breakers:
+            state = CircuitBreaker.peek if peek else CircuitBreaker.state
             open_count = sum(
                 1
                 for r in accepting
-                if self._breakers[r.replica_id].peek(now) == BREAKER_OPEN
+                if state(self._breakers[r.replica_id], now) == BREAKER_OPEN
             )
             open_fraction = open_count / len(accepting)
         return self._ladder.rung(depth, open_fraction)
 
+    def breaker_for(self, replica_id: int) -> CircuitBreaker | None:
+        """This replica's circuit breaker (None when breakers are off)."""
+        return self._breakers.get(replica_id)
+
+    def peek_rung(self, now: float) -> int:
+        """:meth:`_current_rung` as a pure read (for samplers)."""
+        return self._current_rung(now, peek=True)
+
     def _shed_outcome(self, outcome: RequestOutcome, reason: str) -> None:
         """Resolve one outcome as shed and bump the matching counter."""
-        res = self.report.resilience
+        res = self._res
         outcome.outcome = "shed"
         outcome.reason = reason
         field = _SHED_FIELDS[reason]
@@ -747,13 +641,15 @@ class ClusterDriver:
             and request.priority >= cfg.priority_bypass_level
         )
 
-    def _dispatch_resilient(self, request: Request) -> None:
-        """The tracked dispatch path: faults, admission, retries, hedges."""
+    def _dispatch(self, request: Request) -> None:
+        """Admit one request at its arrival time, then serve or shed it."""
+        if self.fleet_series is not None:
+            self.fleet_series.maybe_sample(request.arrival_time, self)
         now = request.arrival_time
         self._apply_due_cluster_faults(now)
         self._retire_drained(now)
         self._autoscale(now)
-        res = self.report.resilience
+        res = self._res
         self.report.routed += 1
         res.admitted += 1
         rung = self._current_rung(now)
@@ -790,9 +686,9 @@ class ClusterDriver:
         ):
             self._shed_outcome(outcome, "admission")
             return
-        self._serve_resilient(request, outcome, rung)
+        self._serve(request, outcome, rung)
 
-    def _serve_resilient(
+    def _serve(
         self,
         request: Request,
         outcome: RequestOutcome,
@@ -800,10 +696,8 @@ class ClusterDriver:
         excluded: set[int] | None = None,
     ) -> None:
         """Attempt chain for one admitted request (primary + retries)."""
-        cfg = self.resilience
-        res = self.report.resilience
+        res = self._res
         excluded = set(excluded) if excluded else set()
-        max_attempts = cfg.max_attempts_per_request if cfg is not None else 1
         while True:
             kind = "primary" if outcome.attempts == 0 else "retry"
             status, replica, served = self._attempt(
@@ -819,13 +713,11 @@ class ClusterDriver:
                 return
             if status == "shed":
                 excluded.add(replica.replica_id)
-                if (
-                    cfg is not None
-                    and outcome.attempts < max_attempts
-                    and self._retry_budget.try_take(self.report.routed)
+                if outcome.attempts < self._max_attempts and (
+                    self._retry_budget.try_take(self.report.routed)
                 ):
                     continue
-                if cfg is not None and outcome.attempts < max_attempts:
+                if outcome.attempts < self._max_attempts:
                     res.retry_budget_exhausted += 1
                 self._shed_outcome(outcome, "replica")
                 return
@@ -848,7 +740,7 @@ class ClusterDriver:
         """
         now = request.arrival_time
         cfg = self.resilience
-        res = self.report.resilience
+        res = self._res
         candidates = self._routable(now)
         if not candidates:
             return ("no-candidates", None, None)
@@ -940,11 +832,10 @@ class ClusterDriver:
                 )
         engine = replica.engine
         saved = (engine.prefetch_enabled, engine.force_substitution)
-        if cfg is not None:
-            if rung >= RUNG_NO_PREFETCH:
-                engine.prefetch_enabled = False
-            if rung >= RUNG_SUBSTITUTE:
-                engine.force_substitution = True
+        if rung >= RUNG_NO_PREFETCH:
+            engine.prefetch_enabled = False
+        if rung >= RUNG_SUBSTITUTE:
+            engine.force_substitution = True
         if self.journeys is not None:
             self.journeys.begin_attempt(
                 request.request_id, kind, replica.replica_id, now
@@ -983,7 +874,7 @@ class ClusterDriver:
     ) -> None:
         """Resolve a served outcome; hedge the primary if it straggles."""
         cfg = self.resilience
-        res = self.report.resilience
+        res = self._res
         winner = served
         winner_replica = replica
         first_token_at = served.arrival_time + served.ttft
@@ -1140,11 +1031,10 @@ class ClusterDriver:
                 )
             last_arrival = request.arrival_time
             self._dispatch(request)
-        if self.tracked:
-            # Scripted faults landing after the last arrival still
-            # happen: drain them so late crashes retract in-flight work
-            # and scheduled restarts are journaled.
-            self._apply_due_cluster_faults(float("inf"))
+        # Scripted faults landing after the last arrival still happen:
+        # drain them so late crashes retract in-flight work and scheduled
+        # restarts are journaled.
+        self._apply_due_cluster_faults(float("inf"))
         if self.fleet_series is not None and last_arrival is not None:
             # One closing snapshot at the fleet's quiesce time, so the
             # series always covers the full run window.
@@ -1173,9 +1063,9 @@ class ClusterDriver:
     def _build_tenancy(self) -> None:
         """Fold tagged outcomes into per-tier / per-tenant sections.
 
-        Only tracked runs build this (client-perceived outcomes are the
-        source of truth for tier accounting); untagged runs leave
-        ``report.tenancy`` as None so their JSON form is unchanged.
+        Built whenever requests carry tenant or tier tags
+        (client-perceived outcomes are the source of truth for tier
+        accounting); untagged runs leave ``report.tenancy`` as None.
         """
         if not self._tenancy_tags:
             return
@@ -1296,32 +1186,16 @@ class ClusterDriver:
             aggregate.policy_name = names.pop()
         self.report.aggregate = aggregate
         self.report.final_replicas = len(self._accepting())
-        if self.tracked:
-            res = self.report.resilience
-            res.retry_budget_limit = self._retry_budget.limit(
-                self.report.routed
-            )
-            res.hedge_budget_limit = self._hedge_budget.limit(
-                self.report.routed
-            )
-            self.report.outcomes = list(self._outcomes.values())
-            self._build_tenancy()
+        res = self._res
+        res.retry_budget_limit = self._retry_budget.limit(self.report.routed)
+        res.hedge_budget_limit = self._hedge_budget.limit(self.report.routed)
+        self.report.outcomes = list(self._outcomes.values())
+        self._build_tenancy()
         if self.slo_tracker is not None:
             # Replay resolutions at finalize time: the outcome set is
             # final here, so crash retractions can never double-count.
-            tracker = self.slo_tracker
-            if self.report.outcomes:
-                tracker.observe_outcomes(self.report.outcomes)
-            else:
-                rows = sorted(
-                    (r.finish_time, r.e2e_latency)
-                    for r in self.report.aggregate.requests
-                )
-                for when, latency in rows:
-                    tracker.observe(
-                        when, latency <= tracker.deadline_seconds
-                    )
-            self.report.slo_summary = tracker.to_dict()
+            self.slo_tracker.observe_outcomes(self.report.outcomes)
+            self.report.slo_summary = self.slo_tracker.to_dict()
         if self.validate:
             from repro.validate.monitors import check_cluster_report
 
@@ -1358,10 +1232,10 @@ def run_cluster(
     instantiated into an independent (pure, seeded) fault oracle per
     replica — or only on ``spec.fault_replica`` when set.
     ``cluster_faults`` scripts cluster-scope chaos (replica crashes,
-    zone outages, link degradation); supplying it — or setting
-    ``spec.resilience`` — switches the driver to the tracked dispatch
-    path with per-request outcome accounting.  With neither present the
-    run is byte-identical to the legacy driver.  ``tracer`` and
+    zone outages, link degradation).  Every run records one
+    request-level outcome per request; the report's ``resilience``
+    section is present only when ``spec.resilience`` or
+    ``cluster_faults`` is set.  ``tracer`` and
     ``metrics`` attach cluster-level observability (routing instants and
     scale events on the cluster lane, per-replica serve spans, and
     ``repro_cluster_*`` instruments).  ``validate`` attaches invariant

@@ -24,8 +24,8 @@ class FleetReport:
     """Heterogeneous-fleet accounting (profiles, pricing, placement).
 
     Present on a :class:`ClusterReport` only when the spec carried
-    replica profiles or a placement strategy; legacy runs keep the key
-    out of the JSON form entirely, preserving byte parity.
+    replica profiles or a placement strategy; other runs keep the key
+    out of the JSON form entirely.
     """
 
     profiles: list[dict] = field(default_factory=list)
@@ -220,9 +220,9 @@ class TenantReport:
 class TenancyReport:
     """Per-tier / per-tenant sections of a multi-tenant cluster run.
 
-    Present on a :class:`ClusterReport` only when tracked requests
-    carried tenant/tier tags; untagged runs keep the ``tenancy`` key out
-    of the JSON form entirely, preserving byte parity.
+    Present on a :class:`ClusterReport` only when requests carried
+    tenant/tier tags; untagged runs keep the ``tenancy`` key out of the
+    JSON form entirely.
     """
 
     priority_aware: bool = False
@@ -238,10 +238,10 @@ class TenancyReport:
 class ResilienceReport:
     """Fleet-level resilience counters for one cluster run.
 
-    Present on the :class:`ClusterReport` whenever resilience features or
-    cluster-scope faults were active; ``None`` means the run took the
-    legacy dispatch path and its serialization is byte-identical to a
-    pre-resilience build.
+    Every run counts these on the one dispatch path, but the
+    :class:`ClusterReport` carries them only when resilience features or
+    cluster-scope faults were configured; otherwise ``resilience`` is
+    ``None`` and the JSON form omits the section.
     """
 
     admitted: int = 0
@@ -332,10 +332,11 @@ class ClusterReport:
     """Replicas still accepting work when the run ended."""
 
     resilience: ResilienceReport | None = None
-    """Resilience counters; ``None`` on legacy (pre-resilience) runs."""
+    """Resilience counters; ``None`` unless a :class:`ResilienceConfig` or
+    cluster faults were set."""
 
     outcomes: list[RequestOutcome] = field(default_factory=list)
-    """One request-level outcome per routed request (resilient runs)."""
+    """One request-level outcome per routed request (every run)."""
 
     dispatch_log: list[DispatchRecord] = field(default_factory=list)
     breaker_transitions: list[BreakerTransition] = field(default_factory=list)
@@ -343,16 +344,16 @@ class ClusterReport:
 
     slo_summary: dict | None = None
     """Burn-rate alerting summary (:meth:`repro.obs.slo.SLOTracker.to_dict`)
-    when an SLO tracker rode the run; ``None`` otherwise — the key is
-    omitted from the JSON form so untracked runs stay byte-identical."""
+    when an SLO tracker rode the run; ``None`` otherwise, and the key is
+    then omitted from the JSON form."""
 
     fleet: FleetReport | None = None
-    """Heterogeneous-fleet accounting; ``None`` on homogeneous legacy
-    runs — the JSON key is omitted so their serialization is unchanged."""
+    """Heterogeneous-fleet accounting; ``None`` unless the spec set
+    profiles or a placement — the JSON key is omitted then."""
 
     tenancy: TenancyReport | None = None
-    """Per-tier / per-tenant accounting; ``None`` unless tracked requests
-    carried tenant tags — the JSON key is omitted otherwise."""
+    """Per-tier / per-tenant accounting; ``None`` unless requests carried
+    tenant or tier tags — the JSON key is omitted otherwise."""
 
     # ------------------------------------------------------------------ #
     # Fleet-level derived metrics
@@ -384,15 +385,15 @@ class ClusterReport:
         counts exactly once — shed and failed-over requests included, so
         dropping or losing work can never improve the attainment number.
 
-        When request-level ``outcomes`` are present (any run with
-        resilience features or cluster-scope faults), they are the
+        Request-level ``outcomes`` (recorded by every driver run) are the
         source of truth: a request attains the SLO iff its single
         outcome is ``served`` within the deadline.  This is what keeps
         the accounting consistent under retries and hedging, where the
         per-replica reports contain duplicate serves (cancelled hedge
         copies, crash-lost partials) that must not inflate either side
-        of the ratio.  Legacy runs fall back to the aggregate report,
-        where served + shed partitions the admitted set exactly.
+        of the ratio.  A report without outcomes (assembled by hand)
+        falls back to the aggregate, where served + shed partitions the
+        admitted set exactly.
         """
         if self.outcomes:
             good = sum(
@@ -598,9 +599,10 @@ def cluster_report_to_dict(report: ClusterReport) -> dict:
     """A JSON-serializable summary of one cluster run.
 
     Resilience keys (the ``resilience`` section and per-replica
-    ``crashed`` flags) appear only when the run actually tracked
-    outcomes, so a legacy run's serialization stays byte-identical to a
-    pre-resilience build.
+    ``crashed`` flags) appear only when a
+    :class:`~repro.cluster.config.ResilienceConfig` or cluster faults
+    were set; every run tracks outcomes, but this is the one place that
+    decides whether they are emitted.
     """
     resilient = report.resilience is not None
     summary = {

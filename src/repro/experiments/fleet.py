@@ -145,7 +145,7 @@ def fleet_rows(
 ) -> list[FleetRow]:
     """Run the fleet sweep: every shape, uniform vs. cost-aware arm.
 
-    A healthy reference run (homogeneous baseline fleet, legacy path)
+    A healthy reference run (homogeneous baseline fleet, no placement)
     sets the SLO deadline at ``deadline_multiplier`` times its p95
     latency — the default of 1.0 asks each heterogeneous fleet to match
     the homogeneous reference's own tail, which is the regime where the

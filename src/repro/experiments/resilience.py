@@ -194,7 +194,7 @@ def storm_rows(
 ) -> list[StormRow]:
     """Run the storm matrix: every scenario, resilience off vs. on.
 
-    A healthy reference run (no faults, legacy path) sets the SLO
+    A healthy reference run (no faults, no resilience) sets the SLO
     deadline at ``deadline_multiplier`` times its p95 latency and — when
     ``resilience`` is not supplied — calibrates the on-arm's hedging and
     breaker thresholds via :func:`default_storm_resilience`.  Both arms

@@ -5,9 +5,9 @@ Three guarantees anchor the subsystem:
 - a 1-replica round-robin cluster is *the same machine* as a bare engine
   run — the aggregate report is byte-identical JSON, proving the cluster
   path introduces zero behavioral drift;
-- a fleet of all-default :class:`ReplicaProfile` replicas is the legacy
-  cluster by construction (``x * 1.0 == x``): same aggregate bytes, same
-  full report apart from the ``fleet`` audit section; and
+- a fleet of all-default :class:`ReplicaProfile` replicas serves exactly
+  like an unprofiled cluster: same aggregate bytes, same full report
+  apart from the ``fleet`` audit section; and
 - cluster cells are pure functions of their spec, so a ``jobs=4`` fan-out
   reproduces ``jobs=1`` byte for byte — heterogeneous placement cells
   included.
@@ -18,12 +18,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cluster import (
     ClusterSpec,
     ReplicaProfile,
     cluster_report_to_json,
     run_cluster,
 )
+from repro.errors import ConfigError
 from repro.experiments.common import ExperimentConfig, run_system
 from repro.experiments.runner import SimCell, process_cache, run_cells
 from repro.serving.export import report_to_json
@@ -81,7 +84,7 @@ class TestSingleReplicaParity:
 
 
 class TestHomogeneousFleetParity:
-    """All-default profiles must reproduce the legacy cluster exactly."""
+    """All-default profiles must reproduce the unprofiled cluster exactly."""
 
     def test_default_profiles_match_legacy_bytes(self):
         world = tiny_world()
@@ -117,6 +120,36 @@ class TestHomogeneousFleetParity:
             "baseline",
             "baseline",
         ]
+
+    def test_budget_floor_only_applies_to_scaled_budgets(self):
+        """A too-small budget is an error unless a profile scaled it."""
+        world = tiny_world()
+        trace = arrival_trace(world, n=2)
+        for profiles in (None, (ReplicaProfile(),)):
+            with pytest.raises(ConfigError):
+                run_cluster(
+                    world,
+                    "fmoe",
+                    ClusterSpec(replicas=1, profiles=profiles),
+                    requests=trace,
+                    cache_budget_bytes=1,
+                )
+        # A VRAM-scaled replica keeps at least one expert per GPU.
+        one_per_gpu = (
+            world.config.hardware.num_gpus
+            * world.model_config.expert_bytes
+        )
+        report = run_cluster(
+            world,
+            "fmoe",
+            ClusterSpec(
+                replicas=1,
+                profiles=(ReplicaProfile(name="half", vram_scale=0.5),),
+            ),
+            requests=trace,
+            cache_budget_bytes=one_per_gpu,
+        )
+        assert report.routed == 2
 
     def test_heterogeneous_fleet_matches_golden(self):
         """The pinned 2-replica heterogeneous placement run, byte for byte.

@@ -19,6 +19,7 @@ from repro.obs import (
     render_slo_summary,
 )
 from repro.obs.slo import _Window, tracker_from_outcome_dicts
+from repro.serving.faults import SLOConfig
 
 from tests._cluster_testkit import arrival_trace, tiny_world
 
@@ -201,6 +202,29 @@ class TestOutcomeReplay:
         )
         assert report.slo_summary is not None
         assert report.slo_summary["observations"] > 0
+
+    def test_unconfigured_run_counts_shed_requests(self):
+        """Replica-shed requests are bad observations without resilience.
+
+        A zero queue-delay budget sheds every request that has to wait,
+        so only the first of ten back-to-back arrivals is served; the
+        tracker must see all ten, agreeing with the report's attainment.
+        """
+        world = tiny_world()
+        tracker = SLOTracker(deadline_seconds=100.0)
+        report = run_cluster(
+            world,
+            "fmoe",
+            ClusterSpec(replicas=1),
+            requests=arrival_trace(world, n=10, gap=0.01),
+            slo=SLOConfig(queue_delay_budget_seconds=0.0),
+            slo_tracker=tracker,
+        )
+        assert report.shed_requests == 9
+        assert report.slo_attainment(100.0) == pytest.approx(0.1)
+        assert tracker.total == 10
+        assert tracker.attainment() == pytest.approx(0.1)
+        assert report.slo_summary["observations"] == 10
 
 
 class TestRender:
