@@ -20,8 +20,7 @@ Commands:
   routing vs. the uniform baseline, scored as SLO attainment per dollar.
 - ``grid``     — sweep (model, dataset, system, budget) grids to CSV.
 - ``report``   — collate ``benchmarks/results`` into one markdown report.
-- ``profile``  — save traces / a warm store, or (``--quick`` /
-  ``--bench-out``) profile the engine hot loop's host wall-clock cost.
+- ``profile``  — save a world's warm traces and/or a warm expert-map store.
 - ``trace``    — run one policy with full telemetry; write trace + metrics.
 - ``inspect``  — summarize a recorded trace directory (stalls, tables) or
   a cluster-report JSON (replica table, resilience counters).
@@ -332,13 +331,9 @@ def cmd_pearson(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Save traces / a warm store, or wall-clock-profile the hot loop."""
-    wallclock = args.quick or args.bench_out is not None
-    if not (args.traces_out or args.store_out or wallclock):
-        print(
-            "nothing to do: pass --traces-out and/or --store-out "
-            "(or --quick / --bench-out for hot-loop profiling)"
-        )
+    """Save a world's warm traces and/or a warm expert-map store."""
+    if not (args.traces_out or args.store_out):
+        print("nothing to do: pass --traces-out and/or --store-out")
         return 2
     from repro.experiments.common import build_world
 
@@ -364,86 +359,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"wrote store with {len(store)} maps "
             f"({store.memory_bytes() / 1e6:.1f} MB) to {args.store_out}"
         )
-    if wallclock:
-        from repro.obs.profile import (
-            check_profile_payload,
-            run_profile,
-            write_profile,
-        )
-
-        repeats = 1 if args.quick else args.repeats
-        payload = run_profile(
-            config, args.system, repeats=repeats, world=world
-        )
-        bench_path = args.bench_out or "benchmarks/BENCH_profile.json"
-        write_profile(payload, bench_path)
-        print(
-            f"{args.system} hot loop: "
-            f"{payload['simulated_requests_per_second']:.2f} simulated "
-            f"requests/s ({payload['requests']} requests, "
-            f"{payload['iterations']} iterations in "
-            f"{payload['wall_seconds']:.3f}s wall)"
-        )
-        for name, phase in payload["phases"].items():
-            print(
-                f"  {name:24s} {phase['seconds']:8.4f}s "
-                f"{phase['share']:6.1%} ({phase['calls']} calls)"
-            )
-        print(f"wrote {bench_path}")
-        problems = check_profile_payload(payload, args.min_rps)
-        if problems:
-            for problem in problems:
-                print(f"FAIL: {problem}")
-            return 1
-    return 0
-
-
-def cmd_engine_bench(args: argparse.Namespace) -> int:
-    """Benchmark the columnar engine core against the scalar reference."""
-    from repro.obs.enginebench import (
-        DEFAULT_BATCH_SIZES,
-        DEFAULT_WORLDS,
-        check_engine_bench_payload,
-        run_engine_bench,
-        write_engine_bench,
-    )
-
-    worlds = DEFAULT_WORLDS
-    if args.models:
-        worlds = tuple(w for w in DEFAULT_WORLDS if w[0] in args.models)
-        unknown = set(args.models) - {w[0] for w in DEFAULT_WORLDS}
-        if unknown:
-            print(f"unknown model(s): {', '.join(sorted(unknown))}")
-            return 2
-    repeats = args.repeats
-    if args.quick:
-        # Keep the repeats (best-of-N absorbs shared-runner noise; a
-        # single timing can undershoot the floor) but trim the grid to
-        # the batch-1 cell.
-        batch_sizes = tuple(args.batch_sizes or (1,))
-    else:
-        batch_sizes = tuple(args.batch_sizes or DEFAULT_BATCH_SIZES)
-    payload = run_engine_bench(
-        worlds=worlds, batch_sizes=batch_sizes, repeats=repeats
-    )
-    bench_path = args.bench_out or "benchmarks/BENCH_engine.json"
-    write_engine_bench(payload, bench_path)
-    for model, block in payload["models"].items():
-        for batch_size, cell in block["by_batch_size"].items():
-            parity = "ok" if cell["reports_identical"] else "DIFFER"
-            print(
-                f"{model:14s} B={batch_size:>3s} "
-                f"columnar {cell['columnar_rps']:7.2f} req/s vs "
-                f"scalar {cell['scalar_reference_rps']:7.2f} req/s = "
-                f"{cell['speedup']:5.2f}x (reports {parity})"
-            )
-    print(f"best speedup {payload['max_speedup']:.2f}x")
-    print(f"wrote {bench_path}")
-    problems = check_engine_bench_payload(payload, args.min_speedup)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
     return 0
 
 
@@ -548,11 +463,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         cluster_report_to_json,
         run_cluster,
     )
-    from repro.experiments.cluster_scaling import (
-        _scaling_trace,
-        cluster_scaling_rows,
-    )
-    from repro.experiments.common import build_world
+    from repro.experiments.cluster_scaling import cluster_scaling_rows
+    from repro.experiments.common import build_world, online_trace
     from repro.experiments.resilience import default_storm_scenarios
 
     config = _config_from_args(args)
@@ -601,7 +513,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         placement=args.placement,
     )
     world = build_world(config)
-    trace = _scaling_trace(config, args.trace_requests, args.rate)
+    trace = online_trace(
+        config, args.trace_requests, args.rate, seed_offset=10
+    )
     report = run_cluster(
         world,
         args.system,
@@ -859,8 +773,7 @@ def cmd_journeys(args: argparse.Namespace) -> int:
         cluster_report_to_json,
         run_cluster,
     )
-    from repro.experiments.cluster_scaling import _scaling_trace
-    from repro.experiments.common import build_world
+    from repro.experiments.common import build_world, online_trace
     from repro.experiments.resilience import default_storm_scenarios
     from repro.obs import (
         FleetSeries,
@@ -888,7 +801,9 @@ def cmd_journeys(args: argparse.Namespace) -> int:
         resilience=ResilienceConfig() if args.resilience else None,
     )
     world = build_world(config)
-    trace = _scaling_trace(config, args.trace_requests, args.rate)
+    trace = online_trace(
+        config, args.trace_requests, args.rate, seed_offset=10
+    )
     journeys = JourneyRecorder()
     fleet = FleetSeries(interval_seconds=args.sample_interval)
     slo_tracker = SLOTracker(
@@ -1310,83 +1225,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="profile a workload: hot-loop wall-clock breakdown "
-        "(--quick/--bench-out), saved traces, or a warm store",
+        help="profile a workload: save its warm traces and/or a warm store",
     )
     _add_world_args(p)
     p.add_argument("--traces-out", default=None)
     p.add_argument("--store-out", default=None)
-    p.add_argument(
-        "--system", default="fmoe", type=_prefix_choice(POLICY_CHOICES)
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="serving passes to average for the hot-loop profile",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="single-repeat hot-loop profile (the CI smoke mode)",
-    )
-    p.add_argument(
-        "--bench-out",
-        default=None,
-        help="where to write the profile payload "
-        "(default benchmarks/BENCH_profile.json)",
-    )
-    p.add_argument(
-        "--min-rps",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) below this simulated-requests/sec floor",
-    )
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "engine-bench",
-        help="benchmark the columnar engine core against the scalar "
-        "reference interpreter (writes BENCH_engine.json)",
-    )
-    p.add_argument(
-        "--models",
-        nargs="*",
-        default=None,
-        help="subset of default benchmark models (default: both)",
-    )
-    p.add_argument(
-        "--batch-sizes",
-        nargs="*",
-        type=int,
-        default=None,
-        help="batch sizes to sweep (default 1 8 32; --quick default 1)",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="serving passes per cell; best wall time wins",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="batch size 1 only (the CI smoke mode)",
-    )
-    p.add_argument(
-        "--bench-out",
-        default=None,
-        help="where to write the payload "
-        "(default benchmarks/BENCH_engine.json)",
-    )
-    p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when the best columnar-vs-scalar speedup "
-        "is below this floor",
-    )
-    p.set_defaults(func=cmd_engine_bench)
 
     p = sub.add_parser(
         "journeys",

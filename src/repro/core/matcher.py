@@ -239,8 +239,8 @@ class ReferenceTrajectoryMatch:
     This is the straightforward reading of the paper's Eq. 5: every layer,
     re-match the entire observed prefix against every stored map —
     O(C·l·J) work at layer ``l``, O(C·L²·J) per iteration.  It is the
-    scalar reference interpreter the engine benchmark and the parity suite
-    compare the columnar core against, and it is *bitwise identical* to
+    scalar reference interpreter the parity suite compares the columnar
+    core against, and it is *bitwise identical* to
     :class:`IncrementalTrajectoryMatch` by construction: the refold adds
     the same per-layer ``rows @ stored.T`` products and squared-norm
     reductions in the same left-to-right order the incremental session

@@ -218,15 +218,6 @@ class FMoEPolicy(BasePolicy):
         """
         rows = rows32.astype(np.float64)
         width = rows.shape[1]
-        if rows.shape[0] == 1:
-            # Single lane (unbatched iterations): the scalar selector is
-            # the batched one's per-lane identity and skips the lane
-            # bookkeeping below.
-            row = rows[0]
-            selected = self._select(row, float(scores[0]))
-            flat = int(targets[0]) * width + selected
-            priorities = row[selected] / int(gaps[0])
-            return flat.astype(np.int64), priorities
         if self.dynamic_threshold:
             thresholds = np.clip(1.0 - scores, 0.0, 1.0)
             order, counts = select_prefetch_counts(
@@ -256,9 +247,8 @@ class FMoEPolicy(BasePolicy):
         # One trajectory match per iteration.  The columnar core streams it
         # (each layer's gate output folds in incrementally, O(C·J) per
         # layer); the scalar reference core re-matches the full prefix from
-        # scratch every layer — the naive Eq. 5 interpreter the benchmark
-        # and parity suite compare against, bitwise identical by
-        # construction.
+        # scratch every layer — the naive Eq. 5 interpreter the parity
+        # suite compares against, bitwise identical by construction.
         if self.use_trajectory and not self.store.is_empty:
             if self._columnar:
                 self._trajectory_session = self.matcher.incremental_session(

@@ -24,11 +24,8 @@ from dataclasses import dataclass
 
 from repro.cluster.config import ROUTER_NAMES, ClusterSpec
 from repro.cluster.metrics import ClusterReport
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, online_trace
 from repro.experiments.runner import SimCell, WorldCache, run_cells
-from repro.serving.request import Request
-from repro.workloads.azure import AzureTraceConfig, make_azure_trace
-from repro.workloads.datasets import get_dataset_profile
 
 
 @dataclass(frozen=True)
@@ -57,20 +54,6 @@ class ClusterScalingRow:
         )
 
 
-def _scaling_trace(
-    config: ExperimentConfig, trace_requests: int, rate_seconds: float
-) -> list[Request]:
-    """The shared online arrival trace every cluster cell replays."""
-    return make_azure_trace(
-        AzureTraceConfig(
-            num_requests=trace_requests,
-            mean_interarrival_seconds=rate_seconds,
-        ),
-        get_dataset_profile(config.dataset),
-        seed=config.seed + 10,
-    )
-
-
 def cluster_scaling_rows(
     replica_counts: tuple[int, ...] = (1, 2, 4),
     routers: tuple[str, ...] = ROUTER_NAMES,
@@ -90,7 +73,9 @@ def cluster_scaling_rows(
     process pool; rows come back in (router, replicas) order regardless.
     """
     base = config or ExperimentConfig()
-    trace = tuple(_scaling_trace(base, trace_requests, rate_seconds))
+    trace = tuple(
+        online_trace(base, trace_requests, rate_seconds, seed_offset=10)
+    )
     grid = [
         (router, count) for router in routers for count in replica_counts
     ]

@@ -29,6 +29,7 @@ from repro.serving.faults import FaultSchedule, SLOConfig
 from repro.serving.hardware import DEFAULT_HARDWARE, HardwareConfig
 from repro.serving.metrics import ServingReport
 from repro.serving.request import Request
+from repro.workloads.azure import AzureTraceConfig, make_azure_trace
 from repro.workloads.datasets import get_dataset_profile, make_dataset
 from repro.workloads.profiler import RequestTrace, collect_history
 from repro.workloads.split import warm_test_split
@@ -245,3 +246,25 @@ def run_system(
         respect_arrivals=respect_arrivals,
     )
     return report
+
+
+def online_trace(
+    config: ExperimentConfig,
+    trace_requests: int,
+    rate_seconds: float,
+    seed_offset: int,
+) -> list[Request]:
+    """The shared online arrival trace every cell of one experiment replays.
+
+    An Azure-style arrival trace over the world's dataset, seeded at
+    ``config.seed + seed_offset``.  Each experiment pins its own offset,
+    so its committed results stay reproducible.
+    """
+    return make_azure_trace(
+        AzureTraceConfig(
+            num_requests=trace_requests,
+            mean_interarrival_seconds=rate_seconds,
+        ),
+        get_dataset_profile(config.dataset),
+        seed=config.seed + seed_offset,
+    )

@@ -20,16 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.config import ClusterSpec
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, online_trace
 from repro.experiments.runner import SimCell, WorldCache, run_cells
 from repro.serving.faults import (
     DeviceFailure,
     FaultConfig,
     SLOConfig,
 )
-from repro.serving.request import Request
-from repro.workloads.azure import AzureTraceConfig, make_azure_trace
-from repro.workloads.datasets import get_dataset_profile
 
 #: Systems compared by default: fMoE plus the two baselines whose
 #: transfers ride the PCIe channels (DeepSpeed charges copies as
@@ -120,20 +117,6 @@ class ChaosRow:
         )
 
 
-def _chaos_trace(
-    config: ExperimentConfig, trace_requests: int, rate_seconds: float
-) -> list[Request]:
-    """The shared online arrival trace every cell replays."""
-    return make_azure_trace(
-        AzureTraceConfig(
-            num_requests=trace_requests,
-            mean_interarrival_seconds=rate_seconds,
-        ),
-        get_dataset_profile(config.dataset),
-        seed=config.seed + 10,
-    )
-
-
 def chaos_rows(
     systems: tuple[str, ...] = CHAOS_SYSTEMS,
     scenarios: tuple[FaultScenario, ...] | None = None,
@@ -172,7 +155,9 @@ def chaos_rows(
     the chaos matrix doubles as an invariant stress test.
     """
     base = config or ExperimentConfig()
-    trace = tuple(_chaos_trace(base, trace_requests, rate_seconds))
+    trace = tuple(
+        online_trace(base, trace_requests, rate_seconds, seed_offset=10)
+    )
     matrix = scenarios if scenarios is not None else default_scenarios(base.seed)
 
     def cell(system: str, faults: FaultConfig, slo: SLOConfig) -> SimCell:

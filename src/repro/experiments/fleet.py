@@ -17,11 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.cluster.config import ClusterSpec, ReplicaProfile, get_profile
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, online_trace
 from repro.experiments.runner import SimCell, WorldCache, run_cells
-from repro.serving.request import Request
-from repro.workloads.azure import AzureTraceConfig, make_azure_trace
-from repro.workloads.datasets import get_dataset_profile
 
 
 @dataclass(frozen=True)
@@ -117,20 +114,6 @@ class FleetRow:
         )
 
 
-def _fleet_trace(
-    config: ExperimentConfig, trace_requests: int, rate_seconds: float
-) -> list[Request]:
-    """The shared online arrival trace every cell replays."""
-    return make_azure_trace(
-        AzureTraceConfig(
-            num_requests=trace_requests,
-            mean_interarrival_seconds=rate_seconds,
-        ),
-        get_dataset_profile(config.dataset),
-        seed=config.seed + 30,
-    )
-
-
 def fleet_rows(
     shapes: tuple[FleetShape, ...] | None = None,
     config: ExperimentConfig | None = None,
@@ -160,7 +143,9 @@ def fleet_rows(
     matrix = shapes if shapes is not None else default_fleet_shapes()
     if not matrix:
         return []
-    trace = tuple(_fleet_trace(base, trace_requests, rate_seconds))
+    trace = tuple(
+        online_trace(base, trace_requests, rate_seconds, seed_offset=30)
+    )
     reference_replicas = max(len(s.profiles) for s in matrix)
 
     reference = run_cells(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.cluster.config import ClusterSpec, ResilienceConfig
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, online_trace
 from repro.experiments.runner import SimCell, WorldCache, run_cells
 from repro.serving.faults import (
     ClusterFaultConfig,
@@ -29,9 +29,6 @@ from repro.serving.faults import (
     ReplicaCrash,
     ZoneFailure,
 )
-from repro.serving.request import Request
-from repro.workloads.azure import AzureTraceConfig, make_azure_trace
-from repro.workloads.datasets import get_dataset_profile
 
 
 @dataclass(frozen=True)
@@ -164,20 +161,6 @@ def default_storm_resilience(healthy_p95: float) -> ResilienceConfig:
     )
 
 
-def _storm_trace(
-    config: ExperimentConfig, trace_requests: int, rate_seconds: float
-) -> list[Request]:
-    """The shared online arrival trace every cell replays."""
-    return make_azure_trace(
-        AzureTraceConfig(
-            num_requests=trace_requests,
-            mean_interarrival_seconds=rate_seconds,
-        ),
-        get_dataset_profile(config.dataset),
-        seed=config.seed + 20,
-    )
-
-
 def storm_rows(
     scenarios: tuple[StormScenario, ...] | None = None,
     config: ExperimentConfig | None = None,
@@ -212,7 +195,9 @@ def storm_rows(
             "pass the on-arm knobs via resilience=, not on the spec "
             "(the spec is shared by both arms)"
         )
-    trace = tuple(_storm_trace(base, trace_requests, rate_seconds))
+    trace = tuple(
+        online_trace(base, trace_requests, rate_seconds, seed_offset=20)
+    )
     matrix = (
         scenarios
         if scenarios is not None

@@ -25,18 +25,11 @@ The cluster-scale observability plane builds on those:
   with JSONL/CSV export.
 - :mod:`repro.obs.slo` — SRE-style multi-window error-budget burn-rate
   alerting over the attainment stream (``repro slo``).
-- :mod:`repro.obs.profile` — a host-time hot-loop profiler producing the
-  ``BENCH_profile.json`` regression baseline (``repro profile``).
-- :mod:`repro.obs.enginebench` — columnar-vs-scalar-reference engine
-  throughput benchmark producing ``BENCH_engine.json``
-  (``repro engine-bench``).
-"""
 
-from repro.obs.enginebench import (
-    check_engine_bench_payload,
-    run_engine_bench,
-    write_engine_bench,
-)
+Everything here measures simulated time.  The simulator's host wall-clock
+cost is measured from outside the package by the repo benchmark in
+``perfbench/`` (see ``perfbench/README.md``).
+"""
 
 from repro.obs.journey import (
     AttemptRecord,
@@ -52,12 +45,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     SlidingWindowRatio,
     log_buckets,
-)
-from repro.obs.profile import (
-    PhaseTimer,
-    check_profile_payload,
-    run_profile,
-    write_profile,
 )
 from repro.obs.sinks import JsonlSink, NullSink, RingBufferSink, Sink
 from repro.obs.slo import (
@@ -85,7 +72,6 @@ __all__ = [
     "JsonlSink",
     "MetricsRegistry",
     "NullSink",
-    "PhaseTimer",
     "RingBufferSink",
     "SLOAlert",
     "SLOTracker",
@@ -94,16 +80,10 @@ __all__ = [
     "TieredSLOTracker",
     "Telemetry",
     "Tracer",
-    "check_engine_bench_payload",
-    "check_profile_payload",
     "default_burn_rules",
     "log_buckets",
     "read_fleet_jsonl",
     "read_journeys_jsonl",
     "render_journeys",
     "render_slo_summary",
-    "run_engine_bench",
-    "run_profile",
-    "write_engine_bench",
-    "write_profile",
 ]

@@ -210,7 +210,8 @@ class ServingEngine:
         self.columnar = columnar
         """Route the hot loop through the batched (array-at-a-time) code
         paths.  Results are byte-identical to the scalar paths; ``False``
-        keeps the legacy per-expert loops (the benchmark baseline)."""
+        keeps the scalar per-expert loops, the reference that
+        ``tests/test_engine_parity.py`` compares the batched paths against."""
         # An all-zero schedule must not perturb the healthy path, so it is
         # dropped entirely (no extra arithmetic anywhere).
         self.faults = (

@@ -150,7 +150,7 @@ class ExpertPool:
         self.columnar = columnar
         """When False, eviction scoring ignores any dense score matrix the
         oracle exposes and calls ``eviction_priority`` once per candidate —
-        the scalar reference interpreter the engine benchmark compares
+        the scalar reference interpreter the parity suite compares
         against."""
         self._oracle: EvictionOracle = _EvictNothing()
         self.protected: set[ExpertId] = set()

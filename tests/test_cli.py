@@ -99,32 +99,6 @@ class TestCommands:
 class TestObservabilityCommands:
     WORLD = ["--requests", "8", "--test-requests", "2"]
 
-    def test_profile_quick_writes_valid_payload(self, tmp_path, capsys):
-        import json
-
-        from repro.obs import check_profile_payload
-
-        bench = tmp_path / "BENCH_profile.json"
-        code = main(
-            ["profile", *self.WORLD, "--quick", "--bench-out", str(bench)]
-        )
-        assert code == 0
-        payload = json.loads(bench.read_text())
-        assert payload["repeats"] == 1  # --quick forces one pass
-        assert check_profile_payload(payload) == []
-        assert "simulated requests/s" in capsys.readouterr().out
-
-    def test_profile_min_rps_gate_fails(self, tmp_path, capsys):
-        code = main(
-            [
-                "profile", *self.WORLD, "--quick",
-                "--bench-out", str(tmp_path / "b.json"),
-                "--min-rps", "1e12",
-            ]
-        )
-        assert code == 1
-        assert "below floor" in capsys.readouterr().out
-
     def test_journeys_end_to_end(self, tmp_path, capsys):
         out_dir = tmp_path / "obs"
         code = main(

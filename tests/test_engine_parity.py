@@ -5,10 +5,11 @@ suite is the differential leg.  ``columnar=False`` swaps in the scalar
 reference interpreter (per-expert readiness probes, per-candidate
 eviction scoring, naive full-prefix trajectory re-matching), and every
 test here demands **byte-identical** serialized reports between the two
-cores — on the committed golden corpus, on hypothesis-generated worlds
-and arrival traces, through fault schedules, and through the cluster
-driver.  The mutant screen re-runs through the columnar core to prove
-the validators kept their teeth across the rewrite.
+cores — on the committed golden corpus, at batched and distance-1
+serving shapes, on hypothesis-generated worlds and arrival traces,
+through fault schedules, and through the cluster driver.  The mutant
+screen re-runs through the columnar core to prove the validators kept
+their teeth across the rewrite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, run_cluster
-from repro.experiments.common import run_system
+from repro.experiments.common import ExperimentConfig, build_world, run_system
 from repro.serving.engine import ServingEngine
 from repro.serving.export import report_to_dict, report_to_json
 from repro.serving.faults import FaultConfig, FaultSchedule
@@ -31,7 +32,7 @@ from repro.validate.mutants import MUTANTS
 
 from tests._cluster_testkit import arrival_trace, tiny_world
 from tests._strategies import fleet_shapes
-from tests.golden.corpus import GOLDEN_CASES, load_golden
+from tests.golden.corpus import GOLDEN_CASES, GOLDEN_SEED, load_golden
 
 PARITY_SETTINGS = settings(
     max_examples=8,
@@ -80,6 +81,39 @@ class TestGoldenParity:
         )
         assert columnar == golden, f"{case.filename}: columnar core drifted"
         assert scalar == golden, f"{case.filename}: scalar reference drifted"
+
+
+#: Serving shapes off the golden corpus's batch-1 / distance-3 default:
+#: batched iterations (many selection lanes per prefetch block) and
+#: distance-1 prefetching (one lane per semantic match at batch 1).
+LIVE_SHAPES = {
+    "batch8": dict(batch_size=8),
+    "distance1": dict(prefetch_distance=1),
+}
+
+
+class TestLiveShapeParity:
+    """Batched and distance-1 serving match the scalar core byte for byte."""
+
+    @pytest.mark.parametrize("shape", sorted(LIVE_SHAPES))
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in GOLDEN_CASES if c.system == "fmoe"],
+        ids=lambda c: c.model,
+    )
+    def test_columnar_equals_scalar(self, case, shape):
+        config = ExperimentConfig(
+            model_name=case.model,
+            dataset=case.dataset,
+            num_requests=16,
+            num_test_requests=8,
+            seed=GOLDEN_SEED,
+            **LIVE_SHAPES[shape],
+        )
+        world = build_world(config)
+        columnar = _bytes(run_system(world, case.system))
+        scalar = _bytes(run_system(world, case.system, columnar=False))
+        assert columnar == scalar, f"{case.model} {shape}: cores differ"
 
 
 class TestPropertyParity:

@@ -7,17 +7,25 @@ changes the simulated latency results.
 """
 
 import json
+import math
 
 import pytest
 
 from repro.cli import main
 from repro.core.policy import FMoEPolicy
+from repro.experiments.common import ExperimentConfig, build_world, run_system
 from repro.moe.model import MoEModel
 from repro.obs.inspect import inspect_path, load_trace_events
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.serving.engine import ServingEngine
 from repro.serving.events import EventKind
+from tests.golden.corpus import (
+    GOLDEN_CASES,
+    GOLDEN_NUM_REQUESTS,
+    GOLDEN_NUM_TEST_REQUESTS,
+    GOLDEN_SEED,
+)
 
 
 def run_tiny(tiny_config, tiny_world, small_hardware, telemetry=None):
@@ -119,6 +127,41 @@ class TestTelemetryIntegration:
         spans_before = len(telemetry.tracer.spans)
         telemetry.finalize(1e9)
         assert len(telemetry.tracer.spans) == spans_before
+
+
+class TestServeSpanStalls:
+    """Each serve span's stall matches the latency breakdown it charged."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in GOLDEN_CASES if c.system == "fmoe"],
+        ids=lambda c: c.model,
+    )
+    def test_stall_seconds_sum_to_breakdown(self, case):
+        world = build_world(
+            ExperimentConfig(
+                model_name=case.model,
+                dataset=case.dataset,
+                num_requests=GOLDEN_NUM_REQUESTS,
+                num_test_requests=GOLDEN_NUM_TEST_REQUESTS,
+                seed=GOLDEN_SEED,
+            )
+        )
+        telemetry = Telemetry()
+        report = run_system(world, case.system, telemetry=telemetry)
+        serves = [s for s in telemetry.tracer.spans if s.name == "serve"]
+        assert any(s.args["stall_cause"] for s in serves), "no stalls"
+        for cause in ("prefetch_stall", "ondemand_load"):
+            stalled = sum(
+                s.args["stall_seconds"]
+                for s in serves
+                if s.args["stall_cause"] == cause
+            )
+            charged = report.breakdown.sync.get(cause, 0.0)
+            assert math.isclose(stalled, charged), (
+                f"{case.model} {cause}: serve spans stall {stalled} s, "
+                f"breakdown charges {charged} s"
+            )
 
 
 class TestTraceCli:
