@@ -454,6 +454,24 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chaos_faults(args: argparse.Namespace):
+    """Resolve ``--chaos`` to ``(known, cluster_faults)``.
+
+    ``cluster_faults`` is None when no scenario was named; an unknown
+    name prints the choices and returns ``known=False`` (exit code 2).
+    """
+    if not args.chaos:
+        return True, None
+    from repro.experiments.resilience import default_storm_scenarios
+
+    scenarios = {s.name: s for s in default_storm_scenarios(args.seed)}
+    if args.chaos not in scenarios:
+        known = ", ".join(sorted(scenarios))
+        print(f"unknown chaos scenario {args.chaos!r}; choose from: {known}")
+        return False, None
+    return True, scenarios[args.chaos].cluster_faults
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Multi-replica cluster simulation with pluggable routing."""
     from repro.cluster import (
@@ -465,7 +483,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     )
     from repro.experiments.cluster_scaling import cluster_scaling_rows
     from repro.experiments.common import build_world, online_trace
-    from repro.experiments.resilience import default_storm_scenarios
 
     config = _config_from_args(args)
     if args.compare:
@@ -486,17 +503,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         autoscaler = AutoscalerConfig(
             max_replicas=max(args.replicas, AutoscalerConfig().max_replicas)
         )
-    cluster_faults = None
-    if args.chaos:
-        scenarios = {
-            s.name: s for s in default_storm_scenarios(args.seed)
-        }
-        if args.chaos not in scenarios:
-            known = ", ".join(sorted(scenarios))
-            print(f"unknown chaos scenario {args.chaos!r}; "
-                  f"choose from: {known}")
-            return 2
-        cluster_faults = scenarios[args.chaos].cluster_faults
+    known, cluster_faults = _chaos_faults(args)
+    if not known:
+        return 2
     profiles = None
     if args.profiles:
         from repro.cluster import get_profile
@@ -774,7 +783,6 @@ def cmd_journeys(args: argparse.Namespace) -> int:
         run_cluster,
     )
     from repro.experiments.common import build_world, online_trace
-    from repro.experiments.resilience import default_storm_scenarios
     from repro.obs import (
         FleetSeries,
         JourneyRecorder,
@@ -784,17 +792,9 @@ def cmd_journeys(args: argparse.Namespace) -> int:
     )
 
     config = _config_from_args(args)
-    cluster_faults = None
-    if args.chaos:
-        scenarios = {
-            s.name: s for s in default_storm_scenarios(args.seed)
-        }
-        if args.chaos not in scenarios:
-            known = ", ".join(sorted(scenarios))
-            print(f"unknown chaos scenario {args.chaos!r}; "
-                  f"choose from: {known}")
-            return 2
-        cluster_faults = scenarios[args.chaos].cluster_faults
+    known, cluster_faults = _chaos_faults(args)
+    if not known:
+        return 2
     spec = ClusterSpec(
         replicas=args.replicas,
         router=args.router,
@@ -815,9 +815,7 @@ def cmd_journeys(args: argparse.Namespace) -> int:
         spec,
         requests=trace,
         cluster_faults=cluster_faults,
-        journeys=journeys,
-        fleet_series=fleet,
-        slo_tracker=slo_tracker,
+        observers=[journeys, fleet, slo_tracker],
     )
     print(render_journeys(journeys.ordered(), top=args.top))
     print()

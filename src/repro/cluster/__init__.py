@@ -24,6 +24,7 @@ from repro.cluster.config import (
     get_profile,
 )
 from repro.cluster.driver import ClusterDriver, run_cluster
+from repro.cluster.observer import ClusterObserver
 from repro.cluster.metrics import (
     BreakerTransition,
     ClusterReport,
@@ -72,6 +73,7 @@ __all__ = [
     "CircuitBreaker",
     "ClusterDemand",
     "ClusterDriver",
+    "ClusterObserver",
     "ClusterReport",
     "ClusterSpec",
     "CostAwareRouter",

@@ -23,6 +23,11 @@ attempts, then a finish — and resolves to exactly one
 cluster faults only add gates and attempts along that path; whether the
 ``resilience`` section appears in the report is a format choice made
 once, at construction.
+
+Tracing, metrics, journeys, fleet sampling and SLO accounting subscribe
+as observers (:class:`~repro.cluster.observer.ClusterObserver`): the
+driver calls each one wherever it journals a record, and knows nothing
+of what they do with it.
 """
 
 from __future__ import annotations
@@ -48,14 +53,13 @@ from repro.cluster.metrics import (
     TierReport,
     _percentile,
 )
+from repro.cluster.observer import ClusterObserver
 from repro.cluster.placement import build_plan, demand_from_traces
 from repro.cluster.replica import Replica
 from repro.cluster.resilience import (
-    BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     RUNG_FULL,
-    RUNG_NAMES,
     RUNG_NO_PREFETCH,
     RUNG_SHED,
     RUNG_SUBSTITUTE,
@@ -67,10 +71,8 @@ from repro.cluster.resilience import (
 from repro.cluster.router import make_router, pick_secondary
 from repro.core.policy import FMoEPolicy
 from repro.core.store import ExpertMapStore
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.experiments.common import World, make_engine
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import CLUSTER_LANE, Tracer, replica_lane
 from repro.serving.faults import (
     ClusterFaultConfig,
     FaultConfig,
@@ -80,13 +82,6 @@ from repro.serving.faults import (
 )
 from repro.serving.metrics import ServingReport
 from repro.serving.request import Request
-
-#: Breaker state → numeric gauge value (closed < half-open < open).
-_BREAKER_STATE_VALUES = {
-    BREAKER_CLOSED: 0.0,
-    BREAKER_HALF_OPEN: 1.0,
-    BREAKER_OPEN: 2.0,
-}
 
 #: Outcome ``reason`` → :class:`ResilienceReport` shed-counter field.
 _SHED_FIELDS = {
@@ -99,7 +94,11 @@ _SHED_FIELDS = {
 
 
 class ClusterDriver:
-    """Drives one multi-replica serving simulation to completion."""
+    """Drives one multi-replica serving simulation to completion.
+
+    ``observers`` are bound before the first replica spawns, so every
+    observer sees every replica and every request of the run.
+    """
 
     def __init__(
         self,
@@ -110,12 +109,8 @@ class ClusterDriver:
         cluster_faults: ClusterFaultConfig | None = None,
         slo: SLOConfig | None = None,
         cache_budget_bytes: int | None = None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         validate: bool = False,
-        journeys=None,
-        fleet_series=None,
-        slo_tracker=None,
+        observers: Sequence[ClusterObserver] = (),
     ) -> None:
         if spec.shared_store and system != "fmoe":
             raise ConfigError(
@@ -128,14 +123,8 @@ class ClusterDriver:
         self.fault_config = fault_config
         self.slo = slo
         self.cache_budget_bytes = cache_budget_bytes
-        self.tracer = tracer
-        self.metrics = metrics
         self.validate = validate
-        # Observability-plane riders (all pure observers of the virtual
-        # clock: attaching any of them leaves the report byte-identical).
-        self.journeys = journeys
-        self.fleet_series = fleet_series
-        self.slo_tracker = slo_tracker
+        self._observers = tuple(observers)
         self._suites: dict[int, object] = {}
         self.violations: list = []
         self._base_budget = (
@@ -196,7 +185,6 @@ class ClusterDriver:
             self.report.resilience = self._res
         self._seq = 0
         self._fault_order = 0
-        self._last_rung = RUNG_FULL
         self._outcomes: dict[int, RequestOutcome] = {}
         self._tenancy_tags: dict[int, tuple[str, str]] = {}
         self._breakers: dict[int, CircuitBreaker] = {}
@@ -315,17 +303,6 @@ class ClusterDriver:
                 replica_id % len(self.plan.residency)
             ]
             preloaded = len(engine.pool.preload_fit(residency))
-        if self.journeys is not None:
-            # Journey capture rides the recorder plumbing ahead of any
-            # monitor suite (which tees with whatever is attached).
-            engine.set_recorder(self.journeys.replica_sink(replica_id))
-        if self.validate:
-            # Every replica engine gets its own invariant monitors; the
-            # suite rides the recorder plumbing and only observes, so a
-            # validated cluster run stays byte-identical to a plain one.
-            from repro.validate.monitors import MonitorSuite
-
-            self._suites[replica_id] = MonitorSuite().bind(engine)
         replica = Replica(replica_id, engine, profile=profile)
         replica.spawned_at = now
         self.replicas.append(replica)
@@ -348,22 +325,22 @@ class ClusterDriver:
                     self._note_breaker(rid, time, state)
                 ),
             )
-        if self.tracer is not None:
-            self.tracer.set_lane_name(
-                replica_lane(replica_id), f"replica {replica_id}"
-            )
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "repro_cluster_replicas",
-                "Replicas currently accepting work",
-            ).set(len(self._accepting()))
+        for observer in self._observers:
+            observer.on_spawn(self, replica)
+        if self.validate:
+            # Every replica engine gets its own invariant monitors; the
+            # suite tees with whatever recorder an observer attached and
+            # only observes, so a validated run stays byte-identical.
+            from repro.validate.monitors import MonitorSuite
+
+            self._suites[replica_id] = MonitorSuite().bind(engine)
         return replica
 
     # ------------------------------------------------------------------ #
     # Fleet state
     # ------------------------------------------------------------------ #
 
-    def _accepting(self) -> list[Replica]:
+    def accepting(self) -> list[Replica]:
         """Replicas currently accepting new work."""
         return [
             r for r in self.replicas if not r.draining and not r.retired
@@ -375,44 +352,24 @@ class ClusterDriver:
         When every accepting replica has lost a device the filter is
         waived — degraded service beats no service.
         """
-        accepting = self._accepting()
+        accepting = self.accepting()
         if not self.spec.route_around_device_loss:
             return accepting
         healthy = [r for r in accepting if r.device_failures == 0]
         if healthy and len(healthy) < len(accepting):
             self.report.routed_around_failures += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_cluster_failover_routes_total",
-                    "Routing decisions that excluded a failed replica",
-                ).inc()
+            for observer in self._observers:
+                observer.on_failover_route(now)
         return healthy or accepting
 
     def _record_scale(
         self, now: float, action: str, replica: Replica, outstanding: int
     ) -> None:
-        """Append one scale event (and mirror it to trace/metrics)."""
-        self.report.scale_events.append(
-            ScaleEvent(now, action, replica.replica_id, outstanding)
-        )
-        if self.tracer is not None:
-            self.tracer.instant(
-                f"scale:{action}",
-                now,
-                tid=CLUSTER_LANE,
-                category="cluster",
-                replica=replica.replica_id,
-                outstanding=outstanding,
-            )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_cluster_scale_actions_total",
-                "Autoscaler actions by kind",
-            ).inc(action=action)
-            self.metrics.gauge(
-                "repro_cluster_replicas",
-                "Replicas currently accepting work",
-            ).set(len(self._accepting()))
+        """Journal one scale event."""
+        event = ScaleEvent(now, action, replica.replica_id, outstanding)
+        self.report.scale_events.append(event)
+        for observer in self._observers:
+            observer.on_scale(self, event)
 
     def _retire_drained(self, now: float) -> None:
         """Retire draining replicas whose last in-flight work finished."""
@@ -427,7 +384,7 @@ class ClusterDriver:
         """Apply at most one autoscaler action at this dispatch point."""
         if self.autoscaler is None:
             return
-        accepting = self._accepting()
+        accepting = self.accepting()
         action = self.autoscaler.decide(now, accepting)
         if action == "up":
             replica = self._spawn(now)
@@ -463,19 +420,10 @@ class ClusterDriver:
         elif state == "closed":
             res.breaker_closes += 1
         self._seq += 1
-        self.report.breaker_transitions.append(
-            BreakerTransition(self._seq, time, replica_id, state)
-        )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_cluster_breaker_transitions_total",
-                "Circuit-breaker state changes by replica and new state",
-            ).inc(replica=str(replica_id), state=state)
-            self.metrics.gauge(
-                "repro_cluster_breaker_state",
-                "Circuit-breaker state by replica "
-                "(0 closed, 1 half-open, 2 open)",
-            ).set(_BREAKER_STATE_VALUES[state], replica=str(replica_id))
+        transition = BreakerTransition(self._seq, time, replica_id, state)
+        self.report.breaker_transitions.append(transition)
+        for observer in self._observers:
+            observer.on_breaker(transition)
 
     def _apply_due_cluster_faults(self, now: float) -> None:
         """Apply scripted crashes/restarts whose virtual time has come."""
@@ -496,11 +444,6 @@ class ClusterDriver:
         lost = replica.crash(time)
         res = self._res
         res.crashes += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_cluster_crashes_total",
-                "Replica crashes applied from the fault script",
-            ).inc(replica=str(replica.replica_id))
         self._record_scale(time, "crash", replica, len(lost))
         if crash.restart_delay is not None:
             self._fault_order += 1
@@ -531,11 +474,6 @@ class ClusterDriver:
         res = self._res
         replica = self._spawn(time, restart=True)
         res.restarts += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_cluster_restarts_total",
-                "Replacement replicas rejoining after a crash",
-            ).inc(replica=str(replica.replica_id))
         restored = 0
         if replica.expert_map_store() is self._shared_store and (
             self._shared_store is not None
@@ -573,8 +511,8 @@ class ClusterDriver:
         outcome.reason = "crash"
         outcome.replica_id = crashed_id
         res.failed += 1
-        if self.journeys is not None:
-            self.journeys.resolve_failed(request.request_id, "crash")
+        for observer in self._observers:
+            observer.on_failed(outcome)
 
     def _current_rung(self, now: float, peek: bool = False) -> int:
         """The degradation-ladder rung for the fleet's health at ``now``.
@@ -585,7 +523,7 @@ class ClusterDriver:
         """
         if self._ladder is None:
             return RUNG_FULL
-        accepting = self._accepting()
+        accepting = self.accepting()
         if not accepting:
             return RUNG_FULL
         depth = sum(
@@ -617,13 +555,8 @@ class ClusterDriver:
         outcome.reason = reason
         field = _SHED_FIELDS[reason]
         setattr(res, field, getattr(res, field) + 1)
-        if self.journeys is not None:
-            self.journeys.resolve_shed(outcome.request_id, reason)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_cluster_resilience_shed_total",
-                "Requests shed by the resilience layer, by reason",
-            ).inc(reason=reason)
+        for observer in self._observers:
+            observer.on_shed(outcome)
 
     def _admission_bypass(self, request: Request) -> bool:
         """Whether this request's priority clears the shed/admission gates.
@@ -643,8 +576,8 @@ class ClusterDriver:
 
     def _dispatch(self, request: Request) -> None:
         """Admit one request at its arrival time, then serve or shed it."""
-        if self.fleet_series is not None:
-            self.fleet_series.maybe_sample(request.arrival_time, self)
+        for observer in self._observers:
+            observer.on_arrival(self, request)
         now = request.arrival_time
         self._apply_due_cluster_faults(now)
         self._retire_drained(now)
@@ -654,17 +587,6 @@ class ClusterDriver:
         res.admitted += 1
         rung = self._current_rung(now)
         res.rung_counts[rung] = res.rung_counts.get(rung, 0) + 1
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "repro_cluster_degradation_rung",
-                "Degradation-ladder rung in force at the last admission",
-            ).set(float(rung))
-            if rung != self._last_rung:
-                self.metrics.counter(
-                    "repro_cluster_rung_changes_total",
-                    "Degradation-ladder rung changes, by rung entered",
-                ).inc(rung=RUNG_NAMES[rung])
-        self._last_rung = rung
         outcome = RequestOutcome(request_id=request.request_id, arrival=now)
         outcome.rung = rung
         self._outcomes[request.request_id] = outcome
@@ -673,8 +595,8 @@ class ClusterDriver:
                 request.tenant,
                 request.tier,
             )
-        if self.journeys is not None:
-            self.journeys.begin_request(request.request_id, now, rung)
+        for observer in self._observers:
+            observer.on_admit(request, outcome)
         bypass = self._admission_bypass(request)
         if rung >= RUNG_SHED and not bypass:
             self._shed_outcome(outcome, "ladder")
@@ -787,40 +709,13 @@ class ClusterDriver:
                 self.report.fallback_routed += 1
         elif kind == "retry":
             res.retry_dispatches += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_cluster_retry_dispatches_total",
-                    "Retry dispatches after sheds or crash failover, "
-                    "by replica",
-                ).inc(replica=str(replica.replica_id))
         self._seq += 1
-        self.report.dispatch_log.append(
-            DispatchRecord(
-                self._seq,
-                now,
-                request.request_id,
-                replica.replica_id,
-                kind,
-                probe,
-            )
+        record = DispatchRecord(
+            self._seq, now, request.request_id, replica.replica_id, kind, probe
         )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_cluster_routed_total",
-                "Requests dispatched, by replica and decision reason",
-            ).inc(replica=str(replica.replica_id), reason=reason)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "route",
-                now,
-                tid=CLUSTER_LANE,
-                category="cluster",
-                request=request.request_id,
-                replica=replica.replica_id,
-                reason=reason,
-                kind=kind,
-                score=round(score, 4),
-            )
+        self.report.dispatch_log.append(record)
+        for observer in self._observers:
+            observer.on_dispatch(record, reason, score)
         serve_request = request
         if self.cluster_faults is not None:
             link = self.cluster_faults.link_delay(replica.replica_id, now)
@@ -836,23 +731,19 @@ class ClusterDriver:
             engine.prefetch_enabled = False
         if rung >= RUNG_SUBSTITUTE:
             engine.force_substitution = True
-        if self.journeys is not None:
-            self.journeys.begin_attempt(
-                request.request_id, kind, replica.replica_id, now
-            )
         try:
             finish = replica.serve(serve_request)
         finally:
             engine.prefetch_enabled, engine.force_substitution = saved
         if finish is None:
-            if self.journeys is not None:
-                self.journeys.end_attempt("shed")
+            for observer in self._observers:
+                observer.on_attempt_end("shed", None)
             if breaker is not None:
                 breaker.record(False, now)
             return ("shed", replica, None)
         served = replica.report.requests[-1]
-        if self.journeys is not None:
-            self.journeys.end_attempt("served", served)
+        for observer in self._observers:
+            observer.on_attempt_end("served", served)
         success = True
         if (
             cfg is not None
@@ -878,7 +769,6 @@ class ClusterDriver:
         winner = served
         winner_replica = replica
         first_token_at = served.arrival_time + served.ttft
-        h_status = h_replica = h_served = None
         if (
             cfg is not None
             and cfg.hedge_after_seconds is not None
@@ -920,62 +810,22 @@ class ClusterDriver:
                 # is cancelled without ever producing a token.
                 res.hedges_cancelled += 1
                 hedge_result = "cancelled"
-            if self.metrics is not None and hedge_result is not None:
-                self.metrics.counter(
-                    "repro_cluster_hedges_total",
-                    "Hedged dispatches by primary replica and result "
-                    "(win: hedge finished first, loss: primary held, "
-                    "cancelled: hedge shed on arrival)",
-                ).inc(
-                    replica=str(replica.replica_id), result=hedge_result
-                )
+            if hedge_result is not None:
+                for observer in self._observers:
+                    observer.on_hedge(
+                        request.request_id,
+                        hedge_result,
+                        replica.replica_id,
+                        served,
+                        h_replica.replica_id,
+                        h_served,
+                    )
         outcome.outcome = "served"
         outcome.replica_id = winner_replica.replica_id
         outcome.latency = winner.finish_time - outcome.arrival
         outcome.ttft = first_token_at - outcome.arrival
-        if self.journeys is not None:
-            self.journeys.resolve_served(
-                request.request_id,
-                winner_replica.replica_id,
-                outcome.latency,
-                outcome.ttft,
-                winner.finish_time,
-                hedged=outcome.hedged,
-                hedge_won=outcome.hedge_won,
-            )
-        if self.tracer is not None:
-            self.tracer.complete(
-                f"request {request.request_id}",
-                winner.start_time,
-                winner.finish_time,
-                tid=replica_lane(winner_replica.replica_id),
-                category="cluster",
-                ttft=round(outcome.ttft, 6),
-            )
-            if h_status == "served":
-                # Both copies ran: draw the cancelled loser too, linked
-                # to the winner with a flow arrow across replica lanes.
-                loser, loser_replica = (
-                    (served, replica)
-                    if outcome.hedge_won
-                    else (h_served, h_replica)
-                )
-                self.tracer.complete(
-                    f"request {request.request_id} (hedge loser)",
-                    loser.start_time,
-                    loser.finish_time,
-                    tid=replica_lane(loser_replica.replica_id),
-                    category="cluster",
-                    role="cancelled",
-                )
-                self.tracer.flow(
-                    "hedge",
-                    request.request_id,
-                    served.start_time,
-                    replica_lane(replica.replica_id),
-                    h_served.start_time,
-                    replica_lane(h_replica.replica_id),
-                )
+        for observer in self._observers:
+            observer.on_served(outcome, winner)
         if self.autoscaler is not None:
             self.autoscaler.observe_ttft(
                 outcome.ttft, winner_replica.replica_id
@@ -1007,22 +857,11 @@ class ClusterDriver:
     def _run_ordered(
         self, ordered: Iterable[Request], streaming: bool = False
     ) -> ClusterReport:
-        tracing = False
-        first_arrival: float | None = None
         last_arrival: float | None = None
         for request in ordered:
-            if first_arrival is None:
-                first_arrival = request.arrival_time
-                if self.tracer is not None:
-                    tracing = True
-                    self.tracer.set_lane_name(CLUSTER_LANE, "cluster")
-                    self.tracer.begin(
-                        "cluster",
-                        request.arrival_time,
-                        tid=CLUSTER_LANE,
-                        category="cluster",
-                        router=self.spec.router,
-                    )
+            if last_arrival is None:
+                for observer in self._observers:
+                    observer.on_run_start(self, request.arrival_time)
             elif streaming and request.arrival_time < last_arrival:
                 raise ConfigError(
                     "run_stream requires non-decreasing arrival times; "
@@ -1035,29 +874,17 @@ class ClusterDriver:
         # drain them so late crashes retract in-flight work and scheduled
         # restarts are journaled.
         self._apply_due_cluster_faults(float("inf"))
-        if self.fleet_series is not None and last_arrival is not None:
-            # One closing snapshot at the fleet's quiesce time, so the
-            # series always covers the full run window.
-            quiesce = max(
-                [last_arrival] + [r.engine.now for r in self.replicas]
-            )
-            self.fleet_series.sample(quiesce, self)
+        if last_arrival is not None:
+            # The fleet is idle once the last arrival is in and every
+            # replica has drained.
+            quiesce = max([last_arrival] + [r.engine.now for r in self.replicas])
+            for observer in self._observers:
+                observer.on_quiesce(self, quiesce)
         self._finalize()
-        if self.validate and self.violations:
-            from repro.errors import ValidationError
-
-            preview = "\n".join(str(v) for v in self.violations[:5])
-            raise ValidationError(
-                f"cluster run violated {len(self.violations)} "
-                f"invariant(s)\n{preview}"
-            )
-        if tracing:
-            end_ts = max(
-                [first_arrival] + [r.engine.now for r in self.replicas]
-            )
-            self.tracer.end(
-                end_ts, tid=CLUSTER_LANE, replicas=len(self.replicas)
-            )
+        for observer in self._observers:
+            observer.on_finish(self, self.report)
+        if self.validate:
+            self._check_invariants()
         return self.report
 
     def _build_tenancy(self) -> None:
@@ -1074,11 +901,6 @@ class ClusterDriver:
             priority_aware=(
                 cfg is not None and cfg.priority_bypass_level is not None
             )
-        )
-        deadline = (
-            self.slo_tracker.deadline_seconds
-            if self.slo_tracker is not None
-            else None
         )
         tier_ttfts: dict[str, list[float]] = {}
         tier_latencies: dict[str, list[float]] = {}
@@ -1123,13 +945,6 @@ class ClusterDriver:
             tier.ttft_p95 = _percentile(ttfts, 95)
             tier.ttft_p99 = _percentile(ttfts, 99)
             tier.latency_p95 = _percentile(tier_latencies.get(name, []), 95)
-            if deadline is not None and tier.offered > 0:
-                good = sum(
-                    1
-                    for latency in tier_latencies.get(name, [])
-                    if latency <= deadline
-                )
-                tier.slo_attainment = good / tier.offered
         # Per-tenant cache behavior comes from the machine-work metrics:
         # every serve a tenant's requests triggered (retries, hedges,
         # crash partials included) counts toward its hit rate, which is
@@ -1185,29 +1000,30 @@ class ClusterDriver:
         if len(names) == 1:
             aggregate.policy_name = names.pop()
         self.report.aggregate = aggregate
-        self.report.final_replicas = len(self._accepting())
+        self.report.final_replicas = len(self.accepting())
         res = self._res
         res.retry_budget_limit = self._retry_budget.limit(self.report.routed)
         res.hedge_budget_limit = self._hedge_budget.limit(self.report.routed)
         self.report.outcomes = list(self._outcomes.values())
         self._build_tenancy()
-        if self.slo_tracker is not None:
-            # Replay resolutions at finalize time: the outcome set is
-            # final here, so crash retractions can never double-count.
-            self.slo_tracker.observe_outcomes(self.report.outcomes)
-            self.report.slo_summary = self.slo_tracker.to_dict()
-        if self.validate:
-            from repro.validate.monitors import check_cluster_report
 
-            for replica in self.replicas:
-                suite = self._suites.get(replica.replica_id)
-                if suite is not None:
-                    self.violations.extend(
-                        suite.finish(
-                            replica.report, admitted=replica.assigned
-                        )
-                    )
-            self.violations.extend(check_cluster_report(self.report))
+    def _check_invariants(self) -> None:
+        """Finish every replica's monitors plus the fleet-level checks."""
+        from repro.validate.monitors import check_cluster_report
+
+        for replica in self.replicas:
+            self.violations.extend(
+                self._suites[replica.replica_id].finish(
+                    replica.report, admitted=replica.assigned
+                )
+            )
+        self.violations.extend(check_cluster_report(self.report))
+        if self.violations:
+            preview = "\n".join(str(v) for v in self.violations[:5])
+            raise ValidationError(
+                f"cluster run violated {len(self.violations)} "
+                f"invariant(s)\n{preview}"
+            )
 
 
 def run_cluster(
@@ -1219,12 +1035,8 @@ def run_cluster(
     cluster_faults: ClusterFaultConfig | None = None,
     slo: SLOConfig | None = None,
     cache_budget_bytes: int | None = None,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
     validate: bool = False,
-    journeys=None,
-    fleet_series=None,
-    slo_tracker=None,
+    observers: Sequence[ClusterObserver] = (),
 ) -> ClusterReport:
     """Serve a request trace on a simulated multi-replica cluster.
 
@@ -1235,22 +1047,19 @@ def run_cluster(
     zone outages, link degradation).  Every run records one
     request-level outcome per request; the report's ``resilience``
     section is present only when ``spec.resilience`` or
-    ``cluster_faults`` is set.  ``tracer`` and
-    ``metrics`` attach cluster-level observability (routing instants and
-    scale events on the cluster lane, per-replica serve spans, and
-    ``repro_cluster_*`` instruments).  ``validate`` attaches invariant
+    ``cluster_faults`` is set.  ``validate`` attaches invariant
     monitors to every replica engine plus fleet-level conservation
     checks, raising :class:`~repro.errors.ValidationError` on any breach
     (the monitors only observe — results are unchanged).
 
-    The observability plane attaches the same way: ``journeys`` (a
-    :class:`repro.obs.journey.JourneyRecorder`) assembles per-request
-    phase records, ``fleet_series`` (a
-    :class:`repro.obs.timeseries.FleetSeries`) snapshots per-replica
-    health on its cadence, and ``slo_tracker`` (a
-    :class:`repro.obs.slo.SLOTracker`) runs burn-rate alerting over the
-    outcome stream, landing its summary on ``report.slo_summary``.  All
-    three are pure observers of the virtual clock.
+    ``observers`` subscribe to the run
+    (:class:`~repro.cluster.observer.ClusterObserver`), e.g.
+    ``observers=[TracerObserver(tracer), MetricsObserver(registry),
+    JourneyRecorder(), FleetSeries(), SLOTracker()]`` from
+    :mod:`repro.obs`: cluster and per-replica trace lanes,
+    ``repro_cluster_*`` instruments, per-request phase records,
+    per-replica health snapshots, and burn-rate alerting landing on
+    ``report.slo_summary``.  All are pure observers of the virtual clock.
     """
     driver = ClusterDriver(
         world,
@@ -1260,12 +1069,8 @@ def run_cluster(
         cluster_faults=cluster_faults,
         slo=slo,
         cache_budget_bytes=cache_budget_bytes,
-        tracer=tracer,
-        metrics=metrics,
         validate=validate,
-        journeys=journeys,
-        fleet_series=fleet_series,
-        slo_tracker=slo_tracker,
+        observers=observers,
     )
     return driver.run(
         list(requests) if requests is not None else world.test_requests

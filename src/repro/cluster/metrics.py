@@ -188,8 +188,9 @@ class TierReport:
     ttft_p99: float | None = None
     latency_p95: float | None = None
     slo_attainment: float | None = None
-    """Fraction of *offered* requests served within the attached SLO
-    tracker's deadline (None when no tracker rode the run)."""
+    """Fraction of *offered* requests served within the deadline of the
+    :class:`~repro.obs.slo.SLOTracker` in the run's ``observers`` (None
+    when no tracker observed the run)."""
 
     @property
     def shed_rate(self) -> float:

@@ -25,12 +25,20 @@ The cluster-scale observability plane builds on those:
   with JSONL/CSV export.
 - :mod:`repro.obs.slo` — SRE-style multi-window error-budget burn-rate
   alerting over the attainment stream (``repro slo``).
+- :mod:`repro.obs.cluster` — the tracer and metrics-registry subscribers
+  of a cluster run (cluster/replica trace lanes, ``repro_cluster_*``
+  instruments).
+
+Journeys, fleet series, SLO trackers and the two :mod:`repro.obs.cluster`
+subscribers are all :class:`~repro.cluster.observer.ClusterObserver`
+subclasses: pass them as ``run_cluster(..., observers=[...])``.
 
 Everything here measures simulated time.  The simulator's host wall-clock
 cost is measured from outside the package by the repo benchmark in
 ``perfbench/`` (see ``perfbench/README.md``).
 """
 
+from repro.obs.cluster import MetricsObserver, TracerObserver
 from repro.obs.journey import (
     AttemptRecord,
     Journey,
@@ -70,6 +78,7 @@ __all__ = [
     "Journey",
     "JourneyRecorder",
     "JsonlSink",
+    "MetricsObserver",
     "MetricsRegistry",
     "NullSink",
     "RingBufferSink",
@@ -80,6 +89,7 @@ __all__ = [
     "TieredSLOTracker",
     "Telemetry",
     "Tracer",
+    "TracerObserver",
     "default_burn_rules",
     "log_buckets",
     "read_fleet_jsonl",

@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.cluster.observer import ClusterObserver
 from repro.errors import TelemetryError
 from repro.serving.events import Event, EventKind
 
@@ -225,7 +226,7 @@ class _ReplicaSink:
         pass
 
 
-class JourneyRecorder:
+class JourneyRecorder(ClusterObserver):
     """Assembles request journeys from driver hooks and engine events.
 
     The cluster driver serves eagerly — each routed request runs to
@@ -346,6 +347,41 @@ class JourneyRecorder:
         journey.ttft = None
         for attempt in journey.attempts:
             attempt.winner = False
+
+    # ------------------------------------------------------------------ #
+    # Cluster observer hooks
+    # ------------------------------------------------------------------ #
+
+    def on_spawn(self, driver, replica) -> None:
+        replica.engine.set_recorder(self.replica_sink(replica.replica_id))
+
+    def on_admit(self, request, outcome) -> None:
+        self.begin_request(outcome.request_id, outcome.arrival, outcome.rung)
+
+    def on_dispatch(self, record, reason, score) -> None:
+        self.begin_attempt(
+            record.request_id, record.kind, record.replica_id, record.time
+        )
+
+    def on_attempt_end(self, status, served) -> None:
+        self.end_attempt(status, served)
+
+    def on_served(self, outcome, winner) -> None:
+        self.resolve_served(
+            outcome.request_id,
+            outcome.replica_id,
+            outcome.latency,
+            outcome.ttft,
+            winner.finish_time,
+            hedged=outcome.hedged,
+            hedge_won=outcome.hedge_won,
+        )
+
+    def on_shed(self, outcome) -> None:
+        self.resolve_shed(outcome.request_id, outcome.reason)
+
+    def on_failed(self, outcome) -> None:
+        self.resolve_failed(outcome.request_id, outcome.reason)
 
     # ------------------------------------------------------------------ #
     # Event attribution

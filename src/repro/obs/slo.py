@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.cluster.observer import ClusterObserver
 from repro.errors import TelemetryError
 
 
@@ -128,13 +129,15 @@ class _Window:
         return self._bad / len(self._events)
 
 
-class SLOTracker:
+class SLOTracker(ClusterObserver):
     """Burn-rate alerting over a stream of request resolutions.
 
     Feed resolutions in non-decreasing time order via :meth:`observe`;
     alerts accumulate in :attr:`alerts` as rising/falling edges.  The
     tracker is a pure observer — it holds no reference to the driver and
-    never touches the virtual clock.
+    never touches the virtual clock.  Attached to a cluster run it
+    replays the run's outcomes when the run finishes, landing its summary
+    on ``report.slo_summary`` and each tier's ``slo_attainment``.
     """
 
     def __init__(
@@ -165,6 +168,7 @@ class SLOTracker:
         }
         self._firing: dict[str, bool] = {rule.name: False for rule in self.rules}
         self._last_time: float | None = None
+        self._tiers: dict[int, str] = {}
 
     @property
     def error_budget(self) -> float:
@@ -232,6 +236,38 @@ class SLOTracker:
             resolutions.append((when, outcome.request_id, good))
         for when, _, good in sorted(resolutions):
             self.observe(when, good)
+
+    # ------------------------------------------------------------------ #
+    # Cluster observer hooks
+    # ------------------------------------------------------------------ #
+
+    def on_admit(self, request, outcome) -> None:
+        if request.tenant or request.tier:
+            self._tiers[request.request_id] = request.tier
+
+    def on_finish(self, driver, report) -> None:
+        """Replay the run's outcomes; land the summary and tier attainment.
+
+        Replaying at finish time, when the outcome set is final, means a
+        crash retraction can never double-count.  A tier's attainment is
+        the fraction of its *offered* requests served within the deadline.
+        """
+        self.observe_outcomes(report.outcomes)
+        report.slo_summary = self.to_dict()
+        if report.tenancy is None:
+            return
+        good: dict[str, int] = {}
+        for outcome in report.outcomes:
+            tier = self._tiers.get(outcome.request_id)
+            if (
+                tier is not None
+                and outcome.outcome == "served"
+                and outcome.latency is not None
+                and outcome.latency <= self.deadline_seconds
+            ):
+                good[tier] = good.get(tier, 0) + 1
+        for name, tier in report.tenancy.tiers.items():
+            tier.slo_attainment = good.get(name, 0) / tier.offered
 
     # ------------------------------------------------------------------ #
     # Summaries

@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from repro.cluster.observer import ClusterObserver
 from repro.errors import TelemetryError
 
 #: Column order for CSV export (matches FleetSample fields).
@@ -52,14 +53,16 @@ class FleetSample:
         return asdict(self)
 
 
-class FleetSeries:
+class FleetSeries(ClusterObserver):
     """Windowed store of :class:`FleetSample` rows on a fixed cadence.
 
     ``interval_seconds`` sets the sampling cadence on the virtual clock;
     ``max_samples`` bounds memory by keeping only the most recent window
-    (0 means unbounded).  The driver calls :meth:`maybe_sample` at every
-    dispatch point; samples land only when the cadence has elapsed, so
-    the series density is independent of request arrival density.
+    (0 means unbounded).  As a cluster observer it calls
+    :meth:`maybe_sample` at every arrival — samples land only when the
+    cadence has elapsed, so the series density is independent of request
+    arrival density — and takes one closing snapshot when the fleet
+    quiesces, so the series always covers the full run window.
     """
 
     def __init__(
@@ -87,6 +90,12 @@ class FleetSeries:
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
+
+    def on_arrival(self, driver, request) -> None:
+        self.maybe_sample(request.arrival_time, driver)
+
+    def on_quiesce(self, driver, time) -> None:
+        self.sample(time, driver)
 
     def maybe_sample(self, now: float, driver) -> int:
         """Sample the fleet if the cadence has elapsed; returns rows added.

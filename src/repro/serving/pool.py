@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-import numpy as np
-
 from repro.errors import (
     CapacityError,
     ConfigError,
@@ -38,15 +36,16 @@ from repro.types import ExpertId
 class EvictionOracle(Protocol):
     """Scores eviction candidates; higher scores are evicted first.
 
-    An oracle may additionally expose the batched form
+    An oracle may additionally expose the dense form
 
-        ``score_evictions(flat: np.ndarray, now: float) -> np.ndarray | None``
+        ``eviction_score_matrix(now: float) -> np.ndarray | None``
 
-    taking flat ``layer * experts_per_layer + expert`` indices and
-    returning one float64 score per candidate (or None to decline).  The
-    pool uses it to score a whole candidate set in one call; oracles
-    without it (third-party scalar policies) transparently fall back to
-    the per-candidate :meth:`eviction_priority` loop.
+    returning every expert's score indexed by flat ``layer *
+    experts_per_layer + expert`` (or None to decline).  The columnar pool
+    uses it to pick a single victim without one scoring call per
+    candidate; oracles without it (third-party scalar policies), and
+    multi-victim evictions, use the per-candidate
+    :meth:`eviction_priority` sort.
     """
 
     def eviction_priority(self, expert: ExpertId, now: float) -> float:
@@ -489,14 +488,10 @@ class ExpertPool:
         protected = self.protected
         tasks = self._tasks
         # Columnar scoring when the oracle exposes its dense score
-        # matrix: victim order comes from O(1) array lookups instead of
-        # one Python scoring call per candidate.  Small candidate sets
-        # sort with the matrix as the key function (numpy per-op overhead
-        # would dominate); large ones go through one stable argsort of
-        # the gathered scores.  ``sorted(key=score, reverse=True)`` and a
-        # stable argsort of the negated scores order ties identically
-        # (original candidate order), so every path evicts the same
-        # victims as the scalar loop.
+        # matrix and one eviction suffices: the victim comes from O(1)
+        # array lookups instead of one Python scoring call per candidate.
+        # The matrix holds exactly the scores ``eviction_priority``
+        # returns, so both paths evict the same victims.
         matrix = None
         if self.columnar:
             dense = getattr(self._oracle, "eviction_score_matrix", None)
@@ -535,23 +530,6 @@ class ExpertPool:
                 if e not in protected
                 and ((task := tasks[e]) is None or task.end <= now)
             ]
-        if matrix is not None:
-            if len(candidates) >= 32:
-                width = self.model.experts_per_layer
-                flat = np.fromiter(
-                    (e.layer * width + e.expert for e in candidates),
-                    dtype=np.intp,
-                    count=len(candidates),
-                )
-                order = np.argsort(-matrix[flat], kind="stable")
-                candidates = [candidates[i] for i in order]
-            else:
-                width = self.model.experts_per_layer
-                candidates.sort(
-                    key=lambda e: matrix[e.layer * width + e.expert],
-                    reverse=True,
-                )
-        else:
             candidates.sort(
                 key=lambda e: self._oracle.eviction_priority(e, now),
                 reverse=True,

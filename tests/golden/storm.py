@@ -55,8 +55,12 @@ def storm_two_tenant_traffic():
     )
 
 
-def compute_storm_report_dict(cache=None) -> dict:
-    """Run the pinned two-tenant storm and return its report payload."""
+def compute_storm_report_dict(cache=None, **options) -> dict:
+    """Run the pinned two-tenant storm and return its report payload.
+
+    ``options`` pass through to ``run_cluster`` (``validate``,
+    ``observers``) for neutrality checks against the golden.
+    """
     from repro.cluster.driver import run_cluster
     from repro.cluster.metrics import cluster_report_to_dict
     from repro.experiments.common import ExperimentConfig
@@ -73,6 +77,7 @@ def compute_storm_report_dict(cache=None) -> dict:
         "fmoe",
         storm_spec(replicas=2, admission_rate=2.0, admission_burst=2),
         requests=materialize_traffic(storm_two_tenant_traffic()),
+        **options,
     )
     return cluster_report_to_dict(report)
 

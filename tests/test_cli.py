@@ -122,9 +122,10 @@ class TestObservabilityCommands:
         ):
             assert (out_dir / name).exists()
 
-    def test_journeys_unknown_chaos(self, capsys):
+    @pytest.mark.parametrize("command", ["cluster", "journeys"])
+    def test_unknown_chaos(self, command, capsys):
         code = main(
-            ["journeys", *self.WORLD, "--chaos", "nope"]
+            [command, *self.WORLD, "--chaos", "nope"]
         )
         assert code == 2
         assert "unknown chaos scenario" in capsys.readouterr().out

@@ -26,7 +26,14 @@ from repro.cluster import (
     cluster_report_to_json,
     run_cluster,
 )
-from repro.obs import FleetSeries, JourneyRecorder, MetricsRegistry, SLOTracker
+from repro.obs import (
+    FleetSeries,
+    JourneyRecorder,
+    MetricsObserver,
+    MetricsRegistry,
+    SLOTracker,
+    TracerObserver,
+)
 from repro.obs.inspect import (
     inspect_cluster_report,
     inspect_path,
@@ -34,8 +41,15 @@ from repro.obs.inspect import (
 )
 from repro.obs.trace import CLUSTER_LANE, Tracer, replica_lane
 from repro.serving.faults import ClusterFaultConfig, ReplicaCrash
+from repro.workloads.traffic import materialize_traffic
 
 from tests._cluster_testkit import arrival_trace, tiny_world
+from tests.golden.storm import (
+    STORM_GOLDEN_PATH,
+    compute_storm_report_dict,
+    load_storm_golden,
+    storm_two_tenant_traffic,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,7 +84,7 @@ def chaos_run(**extra):
 
 class TestTelemetryNeutrality:
     def test_golden_affinity_report_with_observers_attached(self):
-        """The pre-PR golden byte-parity holds with riders attached."""
+        """The pre-PR golden byte-parity holds with observers attached."""
         world = tiny_world()
         report = run_cluster(
             world,
@@ -78,8 +92,7 @@ class TestTelemetryNeutrality:
             ClusterSpec(replicas=2, router="semantic-affinity"),
             requests=arrival_trace(world, n=8),
             validate=True,
-            journeys=JourneyRecorder(),
-            fleet_series=FleetSeries(interval_seconds=0.5),
+            observers=[JourneyRecorder(), FleetSeries(interval_seconds=0.5)],
         )
         golden = (GOLDEN / "cluster_tiny_affinity.json").read_text()
         assert cluster_report_to_json(report) == golden
@@ -88,8 +101,10 @@ class TestTelemetryNeutrality:
         bare = cluster_report_to_json(chaos_run())
         observed = cluster_report_to_json(
             chaos_run(
-                journeys=JourneyRecorder(),
-                fleet_series=FleetSeries(interval_seconds=0.25),
+                observers=[
+                    JourneyRecorder(),
+                    FleetSeries(interval_seconds=0.25),
+                ]
             )
         )
         assert observed == bare
@@ -97,7 +112,7 @@ class TestTelemetryNeutrality:
     def test_slo_tracker_adds_exactly_the_slo_key(self):
         bare = json.loads(cluster_report_to_json(chaos_run()))
         tracked = json.loads(
-            cluster_report_to_json(chaos_run(slo_tracker=SLOTracker()))
+            cluster_report_to_json(chaos_run(observers=[SLOTracker()]))
         )
         slo = tracked.pop("slo")
         assert tracked == bare
@@ -118,8 +133,7 @@ class TestTelemetryNeutrality:
             )
 
         assert run(
-            journeys=JourneyRecorder(),
-            fleet_series=FleetSeries(interval_seconds=0.5),
+            observers=[JourneyRecorder(), FleetSeries(interval_seconds=0.5)]
         ) == run()
 
     def test_validate_monitors_compose_with_journeys(self):
@@ -127,13 +141,68 @@ class TestTelemetryNeutrality:
         rec = JourneyRecorder()
         # validate=True raises ValidationError on any invariant breach,
         # so completing at all proves the monitors ran clean.
-        report = chaos_run(journeys=rec, validate=True)
+        report = chaos_run(observers=[rec], validate=True)
         assert report.routed == 10
         served = [j for j in rec.journeys.values() if j.outcome == "served"]
         assert any(
             (a := j.winner_attempt()) is not None and a.hits + a.misses > 0
             for j in served
         )
+
+
+class TestTaggedStormNeutrality:
+    """Every observer on the tagged, resilience-configured storm golden."""
+
+    def observed_storm(self, *extra):
+        tracer, registry = Tracer(), MetricsRegistry()
+        journeys = JourneyRecorder()
+        payload = compute_storm_report_dict(
+            validate=True,
+            observers=[
+                TracerObserver(tracer),
+                MetricsObserver(registry),
+                journeys,
+                FleetSeries(interval_seconds=0.5),
+                *extra,
+            ],
+        )
+        # The observers really rode the run.
+        routes = [i for i in tracer.instants if i.name == "route"]
+        assert len(routes) == len(payload["resilience"]["dispatches"])
+        assert len(journeys.journeys) == payload["routed"]
+        shed = registry.counter("repro_cluster_resilience_shed_total")
+        assert sum(shed.value(**dict(k)) for k in shed.label_keys()) == (
+            payload["resilience"]["total_shed"]
+        )
+        return payload
+
+    def test_report_byte_identical_to_golden(self):
+        payload = self.observed_storm()
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert text == STORM_GOLDEN_PATH.read_text()
+
+    def test_slo_tracker_adds_only_slo_and_tier_attainment(self):
+        deadline = 30.0
+        payload = self.observed_storm(SLOTracker(deadline_seconds=deadline))
+        golden = load_storm_golden()
+        assert payload.pop("slo")["observations"] == golden["routed"]
+        tier_of = {
+            r.request_id: r.tier
+            for r in materialize_traffic(storm_two_tenant_traffic())
+        }
+        for name, tier in payload["tenancy"]["tiers"].items():
+            good = sum(
+                1
+                for o in payload["resilience"]["outcomes"]
+                if tier_of[o["request_id"]] == name
+                and o["outcome"] == "served"
+                and o["latency"] <= deadline
+            )
+            assert tier["slo_attainment"] == good / tier["offered"]
+            tier["slo_attainment"] = golden["tenancy"]["tiers"][name][
+                "slo_attainment"
+            ]
+        assert payload == golden
 
 
 # --------------------------------------------------------------------- #
@@ -144,7 +213,7 @@ class TestTelemetryNeutrality:
 class TestGoldenChaosTrace:
     def run_traced(self):
         tracer = Tracer()
-        report = chaos_run(tracer=tracer)
+        report = chaos_run(observers=[TracerObserver(tracer)])
         return report, tracer, tracer.to_chrome()["traceEvents"]
 
     def test_crash_and_restart_are_cluster_lane_instants(self):
@@ -212,7 +281,7 @@ class TestGoldenChaosTrace:
 class TestResilienceMetrics:
     def test_counters_and_gauges_exported(self):
         registry = MetricsRegistry()
-        report = chaos_run(metrics=registry)
+        report = chaos_run(observers=[MetricsObserver(registry)])
         res = report.resilience
 
         crashes = registry.counter("repro_cluster_crashes_total")
@@ -233,7 +302,7 @@ class TestResilienceMetrics:
 
     def test_hedge_results_labelled(self):
         registry = MetricsRegistry()
-        report = chaos_run(metrics=registry)
+        report = chaos_run(observers=[MetricsObserver(registry)])
         hedges = registry.counter("repro_cluster_hedges_total")
         results = {dict(k)["result"] for k in hedges.label_keys()}
         assert results <= {"win", "loss", "cancelled"}
@@ -246,7 +315,7 @@ class TestResilienceMetrics:
 
     def test_retry_dispatch_counter(self):
         registry = MetricsRegistry()
-        report = chaos_run(metrics=registry)
+        report = chaos_run(observers=[MetricsObserver(registry)])
         retries = registry.counter("repro_cluster_retry_dispatches_total")
         total = sum(
             retries.value(**dict(k)) for k in retries.label_keys()
@@ -270,7 +339,7 @@ class TestResilienceMetrics:
             ),
             requests=arrival_trace(world, n=8, gap=0.3),
             cluster_faults=CRASH,
-            metrics=registry,
+            observers=[MetricsObserver(registry)],
         )
         if report.resilience.breaker_opens:
             gauge = registry.gauge("repro_cluster_breaker_state")
@@ -278,7 +347,7 @@ class TestResilienceMetrics:
 
     def test_degradation_rung_gauge_set(self):
         registry = MetricsRegistry()
-        chaos_run(metrics=registry)
+        chaos_run(observers=[MetricsObserver(registry)])
         gauge = registry.gauge("repro_cluster_degradation_rung")
         assert gauge.value() >= 0
 
@@ -297,7 +366,7 @@ class TestInspectClusterReport:
         assert not is_cluster_report([1, 2])
 
     def test_round_trip_through_inspect_path(self, tmp_path):
-        report = chaos_run(slo_tracker=SLOTracker())
+        report = chaos_run(observers=[SLOTracker()])
         path = tmp_path / "cluster_report.json"
         path.write_text(cluster_report_to_json(report))
         text = inspect_path(path)
@@ -339,7 +408,7 @@ class TestInspectClusterReport:
     def test_trace_files_still_inspectable(self, tmp_path):
         """The trace branch of inspect_path is untouched."""
         tracer = Tracer()
-        chaos_run(tracer=tracer)
+        chaos_run(observers=[TracerObserver(tracer)])
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(tracer.to_chrome()))
         assert "slowest iterations" in inspect_path(path)

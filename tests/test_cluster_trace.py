@@ -10,6 +10,7 @@ inside the cluster span's bounds.
 from __future__ import annotations
 
 from repro.cluster import ClusterSpec, run_cluster
+from repro.obs.cluster import MetricsObserver, TracerObserver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CLUSTER_LANE, Tracer, replica_lane
 
@@ -19,13 +20,15 @@ from tests._cluster_testkit import arrival_trace, tiny_world
 def _run_traced(tracer, metrics=None, replicas=2):
     world = tiny_world()
     trace = arrival_trace(world, n=6, gap=0.4)
+    observers = [TracerObserver(tracer)]
+    if metrics is not None:
+        observers.append(MetricsObserver(metrics))
     report = run_cluster(
         world,
         "fmoe",
         ClusterSpec(replicas=replicas, router="round-robin"),
         requests=trace,
-        tracer=tracer,
-        metrics=metrics,
+        observers=observers,
     )
     return report, trace
 

@@ -195,7 +195,7 @@ def chaos_run(journeys: JourneyRecorder):
         cluster_faults=ClusterFaultConfig(
             crashes=(ReplicaCrash(time=0.1, replica=0, restart_delay=1.0),)
         ),
-        journeys=journeys,
+        observers=[journeys],
     )
 
 
@@ -252,7 +252,7 @@ class TestClusterIntegration:
                 ),
             ),
             requests=arrival_trace(world, n=8, gap=0.1),
-            journeys=rec,
+            observers=[rec],
         )
         hedged = [j for j in rec.journeys.values() if j.hedged]
         assert hedged
@@ -267,7 +267,7 @@ class TestClusterIntegration:
             "fmoe",
             ClusterSpec(replicas=2),
             requests=arrival_trace(world, n=6),
-            journeys=rec,
+            observers=[rec],
         )
         assert len(rec.journeys) == report.routed
         served = [j for j in rec.journeys.values() if j.outcome == "served"]

@@ -174,7 +174,7 @@ class TestOutcomeReplay:
             "fmoe",
             ClusterSpec(replicas=2, resilience=ResilienceConfig()),
             requests=arrival_trace(world, n=8),
-            slo_tracker=tracker,
+            observers=[tracker],
         )
         assert report.slo_summary is not None
         assert report.slo_summary["observations"] == len(report.outcomes)
@@ -198,7 +198,7 @@ class TestOutcomeReplay:
             "fmoe",
             ClusterSpec(replicas=2),
             requests=arrival_trace(world, n=6),
-            slo_tracker=tracker,
+            observers=[tracker],
         )
         assert report.slo_summary is not None
         assert report.slo_summary["observations"] > 0
@@ -218,7 +218,7 @@ class TestOutcomeReplay:
             ClusterSpec(replicas=1),
             requests=arrival_trace(world, n=10, gap=0.01),
             slo=SLOConfig(queue_delay_budget_seconds=0.0),
-            slo_tracker=tracker,
+            observers=[tracker],
         )
         assert report.shed_requests == 9
         assert report.slo_attainment(100.0) == pytest.approx(0.1)

@@ -137,7 +137,7 @@ def observed_run(series: FleetSeries):
         cluster_faults=ClusterFaultConfig(
             crashes=(ReplicaCrash(time=0.1, replica=0, restart_delay=1.0),)
         ),
-        fleet_series=series,
+        observers=[series],
     )
 
 
@@ -170,7 +170,7 @@ class TestClusterIntegration:
             "fmoe",
             ClusterSpec(replicas=2),
             requests=arrival_trace(world, n=6),
-            fleet_series=series,
+            observers=[series],
         )
         assert len(series) > 0
         # No resilience layer: breaker state column is blank.
