@@ -35,7 +35,7 @@ def test_ext_miss_taxonomy(benchmark):
                 hardware=BENCH_CONFIG.hardware,
             )
             recorder = EventRecorder()
-            engine.set_recorder(recorder)
+            engine.subscribe(recorder)
             policy.warm(world.warm_traces)
             engine.run(world.test_requests)
             out[gb] = classify_misses(recorder)

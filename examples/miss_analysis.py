@@ -36,7 +36,7 @@ def main() -> None:
         cache_budget_bytes=int(args.budget_gb * 1e9),
     )
     recorder = EventRecorder()
-    engine.set_recorder(recorder)
+    engine.subscribe(recorder)
     policy.warm(world.warm_traces)
     report = engine.run(world.test_requests)
 

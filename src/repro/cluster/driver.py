@@ -329,8 +329,8 @@ class ClusterDriver:
             observer.on_spawn(self, replica)
         if self.validate:
             # Every replica engine gets its own invariant monitors; the
-            # suite tees with whatever recorder an observer attached and
-            # only observes, so a validated run stays byte-identical.
+            # suite subscribes beside any observer's subscribers and only
+            # observes, so a validated run stays byte-identical.
             from repro.validate.monitors import MonitorSuite
 
             self._suites[replica_id] = MonitorSuite().bind(engine)

@@ -34,8 +34,8 @@ class ClusterObserver:
         """The first request arrived at virtual ``time``."""
 
     def on_spawn(self, driver: ClusterDriver, replica: Replica) -> None:
-        """A replica joined the fleet (its engine is not yet monitored,
-        so a recorder attached here tees with the validate monitors)."""
+        """A replica joined the fleet; subscribe to ``replica.engine``
+        here to observe its serves."""
 
     def on_arrival(self, driver: ClusterDriver, request: Request) -> None:
         """A request reached the cluster; nothing has acted on it yet."""

@@ -25,6 +25,7 @@ from repro.errors import ConfigError
 from repro.moe.config import MoEModelConfig, get_model_config
 from repro.moe.model import MoEModel
 from repro.serving.engine import ServingEngine
+from repro.serving.events import EngineObserver
 from repro.serving.faults import FaultSchedule, SLOConfig
 from repro.serving.hardware import DEFAULT_HARDWARE, HardwareConfig
 from repro.serving.metrics import ServingReport
@@ -202,18 +203,17 @@ def run_system(
     cache_budget_bytes: int | None = None,
     faults: FaultSchedule | None = None,
     slo: SLOConfig | None = None,
-    telemetry=None,
-    recorder=None,
+    observers: Sequence[EngineObserver] = (),
     monitor=None,
     mutate=None,
     columnar: bool = True,
 ) -> ServingReport:
     """Serve the world's test requests under one system.
 
-    ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`) and
-    ``recorder`` (any :class:`repro.serving.events.EventSink`) attach
-    observability to the run; both observe through the virtual clock and
-    leave the latency results untouched.  ``monitor`` (a
+    ``observers`` (each a :class:`repro.serving.events.EngineObserver`:
+    a :class:`repro.obs.telemetry.Telemetry`, an event sink, ...) are
+    subscribed to the engine in order; they observe through the virtual
+    clock and leave the latency results untouched.  ``monitor`` (a
     :class:`repro.validate.monitors.MonitorSuite`) binds invariant
     checking to the engine's event stream — the caller runs its
     end-of-run checks via ``monitor.finish``.  ``mutate`` is a callable
@@ -232,10 +232,8 @@ def run_system(
     )
     if mutate is not None:
         mutate(engine)
-    if telemetry is not None:
-        engine.set_telemetry(telemetry)
-    if recorder is not None:
-        engine.set_recorder(recorder)
+    for observer in observers:
+        engine.subscribe(observer)
     if monitor is not None:
         monitor.bind(engine)
     if warm:

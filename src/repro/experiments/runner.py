@@ -207,11 +207,11 @@ def run_cell(cell: SimCell, cache: WorldCache | None = None) -> ServingReport:
             cache_budget_bytes=cell.cache_budget_bytes,
             validate=cell.validate,
         )
-    recorder = None
+    observers = []
     if cell.ring_buffer_events is not None:
         from repro.obs.sinks import RingBufferSink
 
-        recorder = RingBufferSink(cell.ring_buffer_events)
+        observers.append(RingBufferSink(cell.ring_buffer_events))
     monitor = None
     if cell.validate:
         from repro.validate.monitors import MonitorSuite
@@ -227,7 +227,7 @@ def run_cell(cell: SimCell, cache: WorldCache | None = None) -> ServingReport:
         cache_budget_bytes=cell.cache_budget_bytes,
         faults=FaultSchedule(cell.faults) if cell.faults is not None else None,
         slo=cell.slo,
-        recorder=recorder,
+        observers=observers,
         monitor=monitor,
     )
     if monitor is not None:

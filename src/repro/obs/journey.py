@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.cluster.observer import ClusterObserver
 from repro.errors import TelemetryError
-from repro.serving.events import Event, EventKind
+from repro.serving.events import EngineObserver, Event, EventKind
 
 #: Phase names, in pipeline order.
 PHASE_QUEUE = "queue"
@@ -205,15 +205,8 @@ _FETCH_KINDS = (
 )
 
 
-class _ReplicaSink:
-    """Event-sink forwarder one replica engine streams into.
-
-    Satisfies the sink protocol (``emit`` / ``close`` / ``dropped``) so
-    it can ride ``engine.set_recorder`` — and tee with the validate
-    monitors, which compose with whatever recorder is already attached.
-    """
-
-    dropped = 0
+class _ReplicaSink(EngineObserver):
+    """Event forwarder subscribed to one replica engine."""
 
     def __init__(self, recorder: "JourneyRecorder", replica_id: int) -> None:
         self._recorder = recorder
@@ -221,9 +214,6 @@ class _ReplicaSink:
 
     def emit(self, event: Event) -> None:
         self._recorder._on_replica_event(self.replica_id, event)
-
-    def close(self) -> None:  # pragma: no cover - protocol completeness
-        pass
 
 
 class JourneyRecorder(ClusterObserver):
@@ -353,7 +343,7 @@ class JourneyRecorder(ClusterObserver):
     # ------------------------------------------------------------------ #
 
     def on_spawn(self, driver, replica) -> None:
-        replica.engine.set_recorder(self.replica_sink(replica.replica_id))
+        replica.engine.subscribe(self.replica_sink(replica.replica_id))
 
     def on_admit(self, request, outcome) -> None:
         self.begin_request(outcome.request_id, outcome.arrival, outcome.rung)

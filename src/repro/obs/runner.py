@@ -79,7 +79,7 @@ def run_traced(
         respect_arrivals=online,
         faults=faults,
         slo=slo,
-        telemetry=telemetry,
+        observers=[telemetry],
     )
     paths = telemetry.write_outputs(out)
     report_path = out / "report.json"

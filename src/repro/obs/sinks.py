@@ -1,10 +1,11 @@
 """Streaming event sinks: bounded-memory destinations for engine events.
 
 The engine (and everything it drives) emits structured
-:class:`~repro.serving.events.Event` records through whatever sink is
-attached.  The legacy :class:`~repro.serving.events.EventRecorder` keeps
-an unbounded list and stops past ``max_events``; the sinks here make
-million-iteration runs safe:
+:class:`~repro.serving.events.Event` records to every subscriber
+(``engine.subscribe(sink)``).  The legacy
+:class:`~repro.serving.events.EventRecorder` keeps an unbounded list and
+stops past ``max_events``; the sinks here make million-iteration runs
+safe:
 
 - :class:`RingBufferSink` — keeps the most recent ``capacity`` events and
   counts what it displaced (nothing is lost silently);
@@ -12,10 +13,10 @@ million-iteration runs safe:
   memory;
 - :class:`NullSink` — swallows events (for measuring emission overhead).
 
-All sinks satisfy the :class:`Sink` protocol; any object with a matching
-``emit`` also satisfies the engine's narrower
-:class:`~repro.serving.events.EventSink`, so custom exporters plug in
-without subclassing.
+Every sink is both a :class:`Sink`, which a
+:class:`~repro.obs.telemetry.Telemetry` streams its events into, and an
+:class:`~repro.serving.events.EngineObserver` overriding only ``emit``,
+which an engine takes as a subscriber directly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import deque
 from pathlib import Path
 from typing import IO, Iterable, Protocol, runtime_checkable
 
-from repro.serving.events import Event, EventKind
+from repro.serving.events import EngineObserver, Event, EventKind
 
 
 @runtime_checkable
@@ -44,11 +45,10 @@ class Sink(Protocol):
         ...
 
 
-class NullSink(Sink):
+class NullSink(EngineObserver, Sink):
     """Swallows every event; useful for overhead measurements."""
 
     def __init__(self) -> None:
-        self.dropped = 0
         self.emitted = 0
 
     def emit(self, event: Event) -> None:
@@ -58,7 +58,7 @@ class NullSink(Sink):
         pass
 
 
-class RingBufferSink(Sink):
+class RingBufferSink(EngineObserver, Sink):
     """Keeps the newest ``capacity`` events; counts displaced ones.
 
     Unlike ``EventRecorder`` (which keeps the *oldest* events and stops),
@@ -89,13 +89,12 @@ class RingBufferSink(Sink):
         return [e for e in self.events if e.kind is kind]
 
 
-class JsonlSink(Sink):
+class JsonlSink(EngineObserver, Sink):
     """Streams events to a JSONL file; memory stays O(1) in run length."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fh: IO[str] | None = self.path.open("w")
-        self.dropped = 0
         self.emitted = 0
 
     def emit(self, event: Event) -> None:
@@ -124,21 +123,3 @@ def read_events_jsonl(path: str | Path) -> Iterable[Event]:
             if line:
                 yield Event.from_dict(json.loads(line))
 
-
-class TeeSink(Sink):
-    """Fans one event stream out to several sinks."""
-
-    def __init__(self, *sinks: Sink) -> None:
-        self.sinks = list(sinks)
-
-    @property
-    def dropped(self) -> int:
-        return sum(s.dropped for s in self.sinks)
-
-    def emit(self, event: Event) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

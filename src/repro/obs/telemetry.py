@@ -2,11 +2,12 @@
 
 One :class:`Telemetry` object owns the three observability primitives —
 an event :class:`~repro.obs.sinks.Sink`, a :class:`~repro.obs.trace.Tracer`
-and a :class:`~repro.obs.metrics.MetricsRegistry` — and exposes the
-narrow instrumentation surface the engine, pool, scheduler, KV tracker
-and fault layer call into.  Everything is driven by the virtual clock and
-never advances it, so an attached telemetry object observes a run without
-perturbing a single latency.
+and a :class:`~repro.obs.metrics.MetricsRegistry` — and implements the
+:class:`~repro.serving.events.EngineObserver` hooks the engine, pool,
+scheduler and fault layer reach through ``engine.subscribe``.
+Everything is driven by the virtual clock and never advances it, so a
+subscribed telemetry object observes a run without perturbing a single
+latency.
 
 The standard instrument set (all ``repro_``-prefixed) is registered up
 front; event-derived counters are updated centrally in :meth:`emit`, so
@@ -29,10 +30,10 @@ from repro.obs.trace import (
     device_lane,
     request_lane,
 )
-from repro.serving.events import Event, EventKind
+from repro.serving.events import EngineObserver, Event, EventKind
 
 
-class Telemetry:
+class Telemetry(EngineObserver):
     """Sink + tracer + metrics, wired for the serving stack."""
 
     def __init__(
@@ -153,6 +154,11 @@ class Telemetry:
         self._request_lanes: set[int] = set()
         self._finalized = False
 
+    @property
+    def dropped(self) -> int:
+        """Events the sink discarded."""
+        return getattr(self.sink, "dropped", 0)
+
     # ------------------------------------------------------------------ #
     # Event stream (counters derive here, centrally)
     # ------------------------------------------------------------------ #
@@ -211,11 +217,13 @@ class Telemetry:
             stage=stage,
         )
 
-    def iteration_end(self, now: float) -> None:
-        """Close the iteration span; records its duration histogram."""
+    def iteration_end(self, now: float, pool=None, kv_tracker=None) -> None:
+        """Close the iteration span, record its duration histogram, and
+        sample the time series if the interval elapsed."""
         span = self.tracer.end(now)
         self.iteration_seconds.observe(span.duration)
         self._last_time = max(self._last_time, now)
+        self.maybe_sample(now, pool=pool, kv_tracker=kv_tracker)
 
     def layer_begin(self, layer: int, now: float) -> None:
         """Open one layer's span inside the current iteration."""
@@ -301,7 +309,7 @@ class Telemetry:
         )
 
     # ------------------------------------------------------------------ #
-    # Transfer tracking (called by the pool via listeners)
+    # Transfer tracking (reported by the engine's pool)
     # ------------------------------------------------------------------ #
 
     def _device_lane(self, device: int) -> int:
@@ -328,13 +336,31 @@ class Telemetry:
     # Gauges and time-series sampling
     # ------------------------------------------------------------------ #
 
-    def set_queue_depth(self, now: float, depth: int) -> None:
-        """Scheduler hook: arrived-but-undispatched request count."""
-        self.queue_depth.set(depth)
+    def request_dispatch(
+        self, now: float, request_id: int, discipline: str, queue_depth: int
+    ) -> None:
+        """Scheduler hook: queue-depth gauge plus a ``dispatch`` instant."""
+        self.queue_depth.set(queue_depth)
         self._last_time = max(self._last_time, now)
+        self.tracer.instant(
+            "dispatch",
+            now,
+            category="scheduler",
+            request_id=request_id,
+            discipline=discipline,
+            queue_depth=queue_depth,
+        )
+
+    def observe_ttft(self, seconds: float) -> None:
+        """Time-to-first-token histogram."""
+        self.ttft_seconds.observe(seconds)
+
+    def observe_tpot(self, seconds: float) -> None:
+        """Per-decode-iteration latency histogram."""
+        self.tpot_seconds.observe(seconds)
 
     def set_kv_bytes(self, current_bytes: int) -> None:
-        """KV-tracker hook: live KV footprint after a mutation."""
+        """Live KV footprint after a mutation."""
         self.kv_bytes.set(current_bytes)
 
     def maybe_sample(self, now: float, pool=None, kv_tracker=None) -> bool:
@@ -371,7 +397,7 @@ class Telemetry:
         if kv_tracker is not None:
             self.kv_bytes.set(kv_tracker.current_bytes())
         self.hit_rate_window.set(self._hit_window.value(now))
-        self.events_dropped.set(getattr(self.sink, "dropped", 0))
+        self.events_dropped.set(self.dropped)
         self.metrics.sample(now)
         self._last_sample = now
 
@@ -402,7 +428,7 @@ class Telemetry:
                 bytes=getattr(task, "num_bytes", 0),
             )
         self._transfers.clear()
-        self.events_dropped.set(getattr(self.sink, "dropped", 0))
+        self.events_dropped.set(self.dropped)
         self.metrics.sample(max(end_time, self._last_sample or 0.0))
         self.sink.close()
 

@@ -19,7 +19,7 @@ baselines that model hidden-state speculation go through the bounded-noise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.moe.model import IterationRouting, MoEModel, RequestSession
 from repro.serving.faults import DeviceFailure, FaultSchedule, SLOConfig
 from repro.serving.hardware import DEFAULT_HARDWARE, HardwareConfig
-from repro.serving.events import Event, EventKind, EventSink
+from repro.serving.events import EngineObserver, Event, EventKind
 from repro.serving.kvcache import KVCacheTracker
 from repro.serving.metrics import LatencyBreakdown, RequestMetrics, ServingReport
 from repro.serving.pool import ExpertPool
@@ -231,9 +231,7 @@ class ServingEngine:
             columnar=columnar,
         )
         self.pool.set_eviction_oracle(policy)
-        self.pool.evict_listener = lambda expert: self._emit(
-            EventKind.EVICTION, expert=expert
-        )
+        self.pool.engine = self
         self.kv_tracker = KVCacheTracker(model.config)
         # Degradation-ladder levers (cluster resilience): the dispatcher
         # may flip these around a serve to shed optional work under
@@ -247,8 +245,8 @@ class ServingEngine:
         substitution instead of blocking on-demand loads (ladder rung 2
         — the SMoE-style fallback applied as deliberate load shedding)."""
 
-        self._recorder: EventSink | None = None
-        self._telemetry = None
+        self.observers: tuple[EngineObserver, ...] = ()
+        """Subscribers, in subscription order (see :meth:`subscribe`)."""
         self._iteration_counter = 0
         policy.attach(self)
         self._now = 0.0
@@ -257,32 +255,25 @@ class ServingEngine:
     def now(self) -> float:
         return self._now
 
-    @property
-    def telemetry(self):
-        """The attached :class:`~repro.obs.telemetry.Telemetry`, if any."""
-        return self._telemetry
+    def subscribe(self, observer: EngineObserver) -> None:
+        """Add ``observer`` after the existing subscribers.
 
-    def set_recorder(self, recorder: EventSink | None) -> None:
-        """Attach (or detach) a structured event sink."""
-        self._recorder = recorder
-
-    def set_telemetry(self, telemetry) -> None:
-        """Attach (or detach) a :class:`~repro.obs.telemetry.Telemetry`.
-
-        Wires the pool's transfer listeners and the KV tracker's change
-        hook; telemetry observes the run through the virtual clock and
-        never advances it, so attaching one leaves every latency result
-        bit-identical.
+        Every hook reaches the subscribers in subscription order; they
+        observe through the virtual clock and never advance it, so
+        subscribing leaves every latency result bit-identical.
         """
-        self._telemetry = telemetry
-        if telemetry is not None:
-            self.pool.transfer_listener = telemetry.note_transfer
-            self.pool.cancel_listener = telemetry.drop_transfer
-            self.kv_tracker.on_change = telemetry.set_kv_bytes
-        else:
-            self.pool.transfer_listener = None
-            self.pool.cancel_listener = None
-            self.kv_tracker.on_change = None
+        self.observers += (observer,)
+
+    def announce_dispatch(
+        self, request_id: int, discipline: str, queue_depth: int
+    ) -> None:
+        """Tell the subscribers a scheduler picked ``request_id``, with
+        ``queue_depth`` arrived requests still waiting."""
+        for observer in self.observers:
+            observer.request_dispatch(
+                self._now, request_id, discipline, queue_depth
+            )
+        self._emit(EventKind.REQUEST_DISPATCH, detail=float(queue_depth))
 
     def _emit(
         self,
@@ -291,7 +282,7 @@ class ServingEngine:
         expert: ExpertId | None = None,
         detail: float | None = None,
     ) -> None:
-        if self._recorder is None and self._telemetry is None:
+        if not self.observers:
             return
         event = Event(
             kind=kind,
@@ -301,10 +292,8 @@ class ServingEngine:
             expert=expert,
             detail=detail,
         )
-        if self._recorder is not None:
-            self._recorder.emit(event)
-        if self._telemetry is not None:
-            self._telemetry.emit(event)
+        for observer in self.observers:
+            observer.emit(event)
 
     # ------------------------------------------------------------------ #
     # Top-level runs
@@ -368,7 +357,9 @@ class ServingEngine:
         report.retries += self.pool.total_retries() - retries_before
         report.peak_cache_bytes = self.pool.used_bytes()
         report.peak_kv_bytes = self.kv_tracker.peak_bytes
-        report.events_dropped = self._events_dropped()
+        report.events_dropped = max(
+            (o.dropped for o in self.observers), default=0
+        )
         return report
 
     def run_continuous(
@@ -427,65 +418,52 @@ class ServingEngine:
             )
             elapsed = self._now - start_time
             for entry in list(active):
-                entry.iterations_done += 1
-                if entry.iterations_done == 1:
-                    entry.metrics.ttft = (
-                        self._now - entry.metrics.arrival_time
-                    )
-                    self._observe_ttft(entry.metrics.ttft)
-                    self._check_ttft(entry, report)
-                    self.kv_tracker.admit(
-                        entry.request.request_id, entry.request.input_tokens
-                    )
-                else:
-                    entry.metrics.decode_latencies.append(elapsed)
-                    self._observe_tpot(elapsed)
-                    self.kv_tracker.append_token(entry.request.request_id)
-                if entry.finished:
-                    entry.metrics.finish_time = self._now
-                    self.kv_tracker.release(entry.request.request_id)
-                    self.policy.on_request_end(entry.request)
+                if self._end_iteration(entry, elapsed, report):
                     report.requests.append(entry.metrics)
-                    self._trace_request(entry)
                     active.remove(entry)
             iteration += 1
             report.iterations += 1
         return self.finalize_report(report, retries_before)
 
-    def _events_dropped(self) -> int:
-        """Events the attached sink(s) discarded so far (max across them)."""
-        dropped = 0
-        if self._recorder is not None:
-            dropped = max(dropped, getattr(self._recorder, "dropped", 0))
-        if self._telemetry is not None:
-            dropped = max(
-                dropped, getattr(self._telemetry.sink, "dropped", 0)
-            )
-        return dropped
-
-    # ------------------------------------------------------------------ #
-    # Telemetry helpers (no-ops when no telemetry is attached)
-    # ------------------------------------------------------------------ #
-
-    def _observe_ttft(self, seconds: float) -> None:
-        if self._telemetry is not None:
-            self._telemetry.ttft_seconds.observe(seconds)
-
-    def _observe_tpot(self, seconds: float) -> None:
-        if self._telemetry is not None:
-            self._telemetry.tpot_seconds.observe(seconds)
-
-    def _trace_request(self, entry: "_ActiveRequest") -> None:
-        if self._telemetry is None:
-            return
+    def _end_iteration(
+        self, entry: _ActiveRequest, elapsed: float, report: ServingReport
+    ) -> bool:
+        """Bookkeeping for one request after an iteration it took part
+        in: TTFT or TPOT, KV growth or release, and the matching
+        subscriber hooks.  True when the request has finished."""
+        entry.iterations_done += 1
+        request = entry.request
         metrics = entry.metrics
-        self._telemetry.request_span(
-            metrics.request_id,
-            metrics.start_time,
-            self._now,
-            metrics.ttft,
-            len(metrics.decode_latencies),
-        )
+        observers = self.observers
+        if entry.iterations_done == 1:
+            metrics.ttft = self._now - metrics.arrival_time
+            for observer in observers:
+                observer.observe_ttft(metrics.ttft)
+            self._check_ttft(entry, report)
+            self.kv_tracker.admit(request.request_id, request.input_tokens)
+        else:
+            metrics.decode_latencies.append(elapsed)
+            for observer in observers:
+                observer.observe_tpot(elapsed)
+            self.kv_tracker.append_token(request.request_id)
+        finished = entry.finished
+        if finished:
+            metrics.finish_time = self._now
+            self.kv_tracker.release(request.request_id)
+            self.policy.on_request_end(request)
+        if observers:
+            kv_bytes = self.kv_tracker.current_bytes()
+            for observer in observers:
+                observer.set_kv_bytes(kv_bytes)
+                if finished:
+                    observer.request_span(
+                        metrics.request_id,
+                        metrics.start_time,
+                        self._now,
+                        metrics.ttft,
+                        len(metrics.decode_latencies),
+                    )
+        return finished
 
     # ------------------------------------------------------------------ #
     # Graceful degradation
@@ -552,8 +530,8 @@ class ServingEngine:
                 self._emit(EventKind.FAILOVER, detail=float(replaced))
             if latest is not None and latest > self._now:
                 report.recovery_seconds += latest - self._now
-                if self._telemetry is not None:
-                    self._telemetry.fault_recovery_span(
+                for observer in self.observers:
+                    observer.fault_recovery_span(
                         failure.device, self._now, latest, replaced
                     )
 
@@ -628,23 +606,7 @@ class ServingEngine:
             )
             elapsed = self._now - start_time
             for entry in current:
-                entry.iterations_done += 1
-                if iteration == 0:
-                    entry.metrics.ttft = self._now - entry.metrics.arrival_time
-                    self._observe_ttft(entry.metrics.ttft)
-                    self._check_ttft(entry, report)
-                    self.kv_tracker.admit(
-                        entry.request.request_id, entry.request.input_tokens
-                    )
-                else:
-                    entry.metrics.decode_latencies.append(elapsed)
-                    self._observe_tpot(elapsed)
-                    self.kv_tracker.append_token(entry.request.request_id)
-                if entry.finished:
-                    entry.metrics.finish_time = self._now
-                    self.kv_tracker.release(entry.request.request_id)
-                    self.policy.on_request_end(entry.request)
-                    self._trace_request(entry)
+                self._end_iteration(entry, elapsed, report)
             iteration += 1
             report.iterations += 1
 
@@ -679,17 +641,17 @@ class ServingEngine:
         self._iteration_counter = iteration
         if self._failure_script:
             self._apply_due_faults(report)
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.iteration_begin(
+        observers = self.observers
+        for observer in observers:
+            observer.iteration_begin(
                 iteration, self._now, len(active), stage.value
             )
         self._emit(EventKind.ITERATION_START, detail=float(len(active)))
         self._apply(self.policy.on_iteration_start(ctx), breakdown)
 
         for layer in range(self.config.num_layers):
-            if telemetry is not None:
-                telemetry.layer_begin(layer, self._now)
+            for observer in observers:
+                observer.layer_begin(layer, self._now)
             base_seconds = self._mixed_layer_base_seconds(
                 prefill_tokens, has_decode
             )
@@ -715,16 +677,13 @@ class ServingEngine:
                 report,
                 hits_at_gate,
             )
-            if telemetry is not None:
-                telemetry.layer_end(self._now)
+            for observer in observers:
+                observer.layer_end(self._now)
 
         self._apply(self.policy.on_iteration_end(ctx), breakdown)
         self._emit(EventKind.ITERATION_END)
-        if telemetry is not None:
-            telemetry.iteration_end(self._now)
-            telemetry.maybe_sample(
-                self._now, pool=self.pool, kv_tracker=self.kv_tracker
-            )
+        for observer in observers:
+            observer.iteration_end(self._now, self.pool, self.kv_tracker)
         breakdown.add_sync("compute", 0.0)  # ensure key exists
 
     @staticmethod
@@ -789,13 +748,8 @@ class ServingEngine:
         if self.faults is not None:
             expert_seconds *= self.faults.compute_multiplier(self._now)
         breakdown = report.breakdown
-        telemetry = self._telemetry
-        if (
-            self.columnar
-            and self._recorder is None
-            and telemetry is None
-            and all(hits_at_gate.values())
-        ):
+        observers = self.observers
+        if self.columnar and not observers and all(hits_at_gate.values()):
             # All-hit layers (the steady state once prefetching warms up)
             # need none of the miss machinery: hits stay ready for the
             # whole layer because the pool protects them, so the per-expert
@@ -845,8 +799,8 @@ class ServingEngine:
                     )
                     stall_seconds = arrival - self._now
                     stall_cause = "prefetch_stall"
-                    if telemetry is not None:
-                        telemetry.stall_span(
+                    for observer in observers:
+                        observer.stall_span(
                             "prefetch_stall", self._now, arrival, expert, layer
                         )
                     self._now = arrival
@@ -876,16 +830,16 @@ class ServingEngine:
                         )
                         stall_seconds = done - self._now
                         stall_cause = "ondemand_load"
-                        if telemetry is not None:
-                            telemetry.stall_span(
+                        for observer in observers:
+                            observer.stall_span(
                                 "ondemand_load", self._now, done, expert, layer
                             )
                         self._now = done
             self.policy.on_expert_served(expert, hit, self._now)
             self._now += expert_seconds
             breakdown.add_sync("compute", expert_seconds)
-            if telemetry is not None:
-                telemetry.serve_span(
+            for observer in observers:
+                observer.serve_span(
                     serve_start,
                     self._now,
                     expert,
@@ -1034,7 +988,6 @@ class ServingEngine:
                     latest_arrival = arrival
         if scheduled:
             breakdown.asynchronous["prefetch_transfer"] = transfer
-        if scheduled:
             self._emit(EventKind.PREFETCH_ISSUED, detail=float(scheduled))
         if action.block_until_arrival and latest_arrival > self._now:
             breakdown.add_sync("sync_prefetch_wait", latest_arrival - self._now)

@@ -1,14 +1,16 @@
 """Structured event tracing for the serving engine.
 
-A sink can be attached to a :class:`~repro.serving.engine.ServingEngine`
-to capture the exact sequence of simulation events — iteration boundaries,
-layer serves, hits/misses, on-demand loads, prefetch issues, evictions —
-with virtual timestamps.  Useful for debugging policies, building custom
-analyses, and asserting engine semantics in tests.
+Observers subscribe to a :class:`~repro.serving.engine.ServingEngine`
+with ``engine.subscribe(observer)`` to capture the exact sequence of
+simulation events — iteration boundaries, layer serves, hits/misses,
+on-demand loads, prefetch issues, evictions — with virtual timestamps,
+plus the span and gauge hooks the telemetry layer turns into traces and
+metrics.  Useful for debugging policies, building custom analyses, and
+asserting engine semantics in tests.
 
-Recording is off by default and costs nothing when disabled.  The engine
-accepts anything satisfying the :class:`EventSink` protocol;
-:class:`EventRecorder` is the simple in-memory implementation, and
+An engine with no subscribers pays nothing.  Every subscriber subclasses
+:class:`EngineObserver` and overrides the hooks it needs;
+:class:`EventRecorder` is the simple in-memory event list, and
 :mod:`repro.obs.sinks` provides bounded-memory streaming alternatives
 (ring buffer, JSONL file, null) for long runs.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 from repro.types import ExpertId
 
@@ -84,18 +86,95 @@ class Event:
         )
 
 
-@runtime_checkable
-class EventSink(Protocol):
-    """Anything the engine can stream events into."""
+class EngineObserver:
+    """A pure observer of one serving engine; every hook is a no-op.
+
+    Subscribe with ``engine.subscribe(observer)``.  Hooks fire in
+    subscription order on the virtual clock; an observer never advances
+    it or touches engine state, so an observed run stays byte-identical.
+    """
+
+    dropped = 0
+    """Events discarded (a report carries the max over subscribers)."""
 
     def emit(self, event: Event) -> None:
-        """Record one event."""
-        ...
+        """One structured engine event."""
+
+    def iteration_begin(
+        self, index: int, now: float, batch_size: int, stage: str
+    ) -> None:
+        """An iteration starts (before its ``ITERATION_START`` event)."""
+
+    def iteration_end(self, now: float, pool=None, kv_tracker=None) -> None:
+        """An iteration ended (after its ``ITERATION_END`` event); the
+        engine's pool and KV tracker are passed for gauge sampling."""
+
+    def layer_begin(self, layer: int, now: float) -> None:
+        """One layer of the current iteration starts."""
+
+    def layer_end(self, now: float) -> None:
+        """The current layer ends."""
+
+    def serve_span(
+        self,
+        start: float,
+        end: float,
+        expert: ExpertId,
+        layer: int,
+        hit: bool,
+        stall_seconds: float = 0.0,
+        stall_cause: str | None = None,
+    ) -> None:
+        """One expert activation's serve window (stall included)."""
+
+    def stall_span(
+        self, name: str, start: float, end: float, expert: ExpertId, layer: int
+    ) -> None:
+        """An on-demand load or prefetch stall inside a serve."""
+
+    def note_transfer(
+        self, kind: str, device: int, expert: ExpertId, task: object
+    ) -> None:
+        """The pool scheduled a ``"prefetch"`` or ``"ondemand"`` copy; the
+        task's bounds shift while urgent loads pause it, so read them late."""
+
+    def drop_transfer(self, task: object) -> None:
+        """A scheduled copy was cancelled or lost before completing."""
+
+    def fault_recovery_span(
+        self, device: int, start: float, end: float, replaced: int
+    ) -> None:
+        """The window from a device loss to its last re-placement copy."""
+
+    def observe_ttft(self, seconds: float) -> None:
+        """A request's time-to-first-token."""
+
+    def observe_tpot(self, seconds: float) -> None:
+        """One decode iteration's latency for one request."""
+
+    def set_kv_bytes(self, current_bytes: int) -> None:
+        """Live KV footprint after a KV-cache mutation."""
+
+    def request_span(
+        self,
+        request_id: int,
+        start: float,
+        end: float,
+        ttft: float,
+        decode_iterations: int,
+    ) -> None:
+        """A request finished; its whole lifetime."""
+
+    def request_dispatch(
+        self, now: float, request_id: int, discipline: str, queue_depth: int
+    ) -> None:
+        """A scheduler handed a request over (before its
+        ``REQUEST_DISPATCH`` event); ``queue_depth`` still wait."""
 
 
 @dataclass
-class EventRecorder:
-    """Accumulates events; attach with ``engine.set_recorder(recorder)``."""
+class EventRecorder(EngineObserver):
+    """Accumulates events; attach with ``engine.subscribe(recorder)``."""
 
     events: list[Event] = field(default_factory=list)
     max_events: int = 1_000_000

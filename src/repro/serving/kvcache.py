@@ -40,9 +40,6 @@ class KVCacheTracker:
         self.config = config
         self._entries: dict[int, _Entry] = {}
         self.peak_bytes = 0
-        self.on_change = None
-        """Optional callable(current_bytes) invoked after every mutation;
-        the telemetry layer uses it to keep its KV gauge live."""
 
     def admit(self, request_id: int, prompt_tokens: int) -> None:
         """Register a request at prefill with its prompt context."""
@@ -51,7 +48,7 @@ class KVCacheTracker:
         if prompt_tokens < 1:
             raise ConfigError("prompt_tokens must be >= 1")
         self._entries[request_id] = _Entry(tokens=prompt_tokens)
-        self._update_peak()
+        self.peak_bytes = max(self.peak_bytes, self.current_bytes())
 
     def append_token(self, request_id: int) -> None:
         """Grow a request's context by one generated token."""
@@ -61,14 +58,12 @@ class KVCacheTracker:
             raise SimulationError(
                 f"request {request_id} not admitted"
             ) from None
-        self._update_peak()
+        self.peak_bytes = max(self.peak_bytes, self.current_bytes())
 
     def release(self, request_id: int) -> None:
         """Free a finished request's KV cache."""
         if self._entries.pop(request_id, None) is None:
             raise SimulationError(f"request {request_id} not admitted")
-        if self.on_change is not None:
-            self.on_change(self.current_bytes())
 
     def tokens_of(self, request_id: int) -> int:
         """Current context length of an in-flight request."""
@@ -83,12 +78,6 @@ class KVCacheTracker:
         """Live KV bytes across all in-flight requests."""
         per_token = kv_bytes_per_token(self.config)
         return per_token * sum(e.tokens for e in self._entries.values())
-
-    def _update_peak(self) -> None:
-        current = self.current_bytes()
-        self.peak_bytes = max(self.peak_bytes, current)
-        if self.on_change is not None:
-            self.on_change(current)
 
 
 def expert_budget_after_kv(

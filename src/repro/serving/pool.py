@@ -18,7 +18,7 @@ visibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from repro.errors import (
     CapacityError,
@@ -27,10 +27,14 @@ from repro.errors import (
     TransferError,
 )
 from repro.moe.config import MoEModelConfig
+from repro.serving.events import EngineObserver, EventKind
 from repro.serving.faults import FaultSchedule, RetryPolicy
 from repro.serving.hardware import HardwareConfig
 from repro.serving.memory import TransferChannel, TransferTask
 from repro.types import ExpertId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serving.engine import ServingEngine
 
 
 class EvictionOracle(Protocol):
@@ -155,17 +159,13 @@ class ExpertPool:
         self.protected: set[ExpertId] = set()
         self.stats = PoolStats()
         self.faults = faults
-        self.evict_listener = None
-        """Optional callable(expert) invoked on every eviction."""
-        self.transfer_listener = None
-        """Optional callable(kind, device_index, expert, task) invoked when
-        a copy is scheduled (kind is ``"prefetch"`` or ``"ondemand"``).
-        The task is live: its bounds shift if later urgent loads pause it,
-        so consumers should read them after the run (see
-        :meth:`repro.obs.telemetry.Telemetry.note_transfer`)."""
-        self.cancel_listener = None
-        """Optional callable(task) invoked when a scheduled copy is
-        cancelled or lost before completing."""
+        self.engine: ServingEngine | None = None
+        """The engine whose subscribers hear this pool's evictions and
+        transfers (None for a bare pool)."""
+
+    @property
+    def _observers(self) -> tuple[EngineObserver, ...]:
+        return self.engine.observers if self.engine is not None else ()
 
     # ------------------------------------------------------------------ #
     # Placement / residency queries
@@ -331,8 +331,8 @@ class ExpertPool:
         self._tasks[expert] = task
         self._home[expert] = device.index
         self.stats.prefetch_issued += 1
-        if self.transfer_listener is not None:
-            self.transfer_listener("prefetch", device.index, expert, task)
+        for observer in self._observers:
+            observer.note_transfer("prefetch", device.index, expert, task)
         return "scheduled"
 
     def insert_blocking(self, expert: ExpertId, now: float) -> bool:
@@ -390,8 +390,8 @@ class ExpertPool:
         self._tasks[expert] = task
         self._home[expert] = device.index
         self.stats.ondemand_loads += 1
-        if self.transfer_listener is not None:
-            self.transfer_listener("ondemand", device.index, expert, task)
+        for observer in self._observers:
+            observer.note_transfer("ondemand", device.index, expert, task)
         return task.end
 
     def evict(self, expert: ExpertId) -> None:
@@ -404,8 +404,8 @@ class ExpertPool:
         del self._tasks[expert]
         self._home.pop(expert, None)
         self.stats.evictions += 1
-        if self.evict_listener is not None:
-            self.evict_listener(expert)
+        if self.engine is not None:
+            self.engine._emit(EventKind.EVICTION, expert=expert)
 
     # ------------------------------------------------------------------ #
     # Device failure and recovery
@@ -428,11 +428,13 @@ class ExpertPool:
         if device.failed:
             return []
         device.failed = True
-        if self.cancel_listener is not None:
+        observers = self._observers
+        if observers:
             # Unfinished copies die with the link; they never complete, so
             # consumers must not materialize them as transfer spans.
             for task in device.channel.pending_tasks(now):
-                self.cancel_listener(task)
+                for observer in observers:
+                    observer.drop_transfer(task)
         device.channel.fail(now)
         lost = sorted(device.resident)
         for expert in lost:
@@ -558,8 +560,8 @@ class ExpertPool:
                 del self._tasks[expert]
                 self._home.pop(expert, None)
                 self.stats.prefetch_cancelled += 1
-                if self.cancel_listener is not None:
-                    self.cancel_listener(task)
+                for observer in self._observers:
+                    observer.drop_transfer(task)
                 if device.free_bytes() >= needed_bytes:
                     return True
         return device.free_bytes() >= needed_bytes

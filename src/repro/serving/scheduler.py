@@ -20,7 +20,6 @@ from typing import Protocol, Sequence
 
 from repro.errors import ConfigError
 from repro.serving.engine import ServingEngine
-from repro.serving.events import EventKind
 from repro.serving.metrics import ServingReport
 from repro.serving.request import Request
 
@@ -85,18 +84,9 @@ def run_scheduled(
             continue
         chosen = scheduler.select(pending, engine.now)
         pending.remove(chosen)
-        telemetry = engine.telemetry
-        if telemetry is not None:
-            telemetry.set_queue_depth(engine.now, len(pending))
-            telemetry.tracer.instant(
-                "dispatch",
-                engine.now,
-                category="scheduler",
-                request_id=chosen.request_id,
-                discipline=scheduler.name,
-                queue_depth=len(pending),
-            )
-        engine._emit(EventKind.REQUEST_DISPATCH, detail=float(len(pending)))
+        engine.announce_dispatch(
+            chosen.request_id, scheduler.name, len(pending)
+        )
         partial = engine.run(
             [chosen], batch_size=1, respect_arrivals=True
         )

@@ -1,8 +1,8 @@
 """Runtime invariant monitors for the serving simulator.
 
-A :class:`MonitorSuite` implements the event-sink protocol and rides the
-engine's existing recorder plumbing: every event the engine emits is
-checked, in place, against the simulation's own physics —
+A :class:`MonitorSuite` subscribes to the engine like any other
+observer: every event the engine emits is checked, in place, against the
+simulation's own physics —
 
 - **clock causality** — event timestamps never move backwards;
 - **VRAM ledger** — per-device and total reservations stay within budget,
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ValidationError
-from repro.obs.sinks import TeeSink
-from repro.serving.events import Event, EventKind
+from repro.serving.events import EngineObserver, Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.metrics import ClusterReport
@@ -334,17 +333,13 @@ def default_monitors() -> list[InvariantMonitor]:
     ]
 
 
-class MonitorSuite:
-    """All invariant monitors behind one event sink.
+class MonitorSuite(EngineObserver):
+    """All invariant monitors behind one engine subscriber.
 
-    Satisfies the sink protocol (``emit`` / ``close`` / ``dropped``), so
-    :meth:`bind` can attach it through ``engine.set_recorder`` — tee'd
-    with any recorder the caller already installed, preserving that
-    sink's stream and drop accounting byte for byte.
+    :meth:`bind` subscribes it beside whatever observers the engine
+    already has, in any order; their streams and drop accounting are
+    untouched.
     """
-
-    #: Sink protocol: monitors check every event, none are ever dropped.
-    dropped = 0
 
     def __init__(
         self,
@@ -361,28 +356,22 @@ class MonitorSuite:
         self._finished = False
 
     # ------------------------------------------------------------------ #
-    # Attachment and the sink protocol
+    # Attachment and the event hook
     # ------------------------------------------------------------------ #
 
     def bind(self, engine: "ServingEngine") -> "MonitorSuite":
-        """Attach to ``engine``'s event stream (idempotent per engine)."""
+        """Subscribe to ``engine``'s event stream."""
         self.engine = engine
         for monitor in self.monitors:
             monitor.bind(engine)
-        existing = engine._recorder
-        engine.set_recorder(
-            self if existing is None else TeeSink(existing, self)
-        )
+        engine.subscribe(self)
         return self
 
     def emit(self, event: Event) -> None:
-        """Sink protocol: fan one event out to every monitor's checks."""
+        """Fan one event out to every monitor's checks."""
         assert self.engine is not None, "suite not bound to an engine"
         for monitor in self.monitors:
             monitor.on_event(self.engine, event, self)
-
-    def close(self) -> None:
-        """Sink protocol; monitors hold no resources."""
 
     # ------------------------------------------------------------------ #
     # Violations

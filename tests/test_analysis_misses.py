@@ -109,7 +109,7 @@ class TestOnRealRun:
             hardware=small_hardware,
         )
         recorder = EventRecorder()
-        engine.set_recorder(recorder)
+        engine.subscribe(recorder)
         policy.warm(traces)
         report = engine.run(test[:3])
         breakdown = classify_misses(recorder)

@@ -137,7 +137,7 @@ class TestTelemetryNeutrality:
         ) == run()
 
     def test_validate_monitors_compose_with_journeys(self):
-        """The journey sink and the validate tee both see the events."""
+        """The journey sink and the validate monitors both see the events."""
         rec = JourneyRecorder()
         # validate=True raises ValidationError on any invariant breach,
         # so completing at all proves the monitors ran clean.

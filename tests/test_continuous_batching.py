@@ -41,7 +41,7 @@ class TestAdmission:
 
         engine, _ = make_engine(tiny_config, small_hardware)
         recorder = EventRecorder()
-        engine.set_recorder(recorder)
+        engine.subscribe(recorder)
         requests = [
             Request(i, 0, 4, 3, arrival_time=0.0) for i in range(8)
         ]

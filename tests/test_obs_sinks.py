@@ -9,7 +9,6 @@ from repro.obs.sinks import (
     NullSink,
     RingBufferSink,
     Sink,
-    TeeSink,
     read_events_jsonl,
 )
 from repro.serving.events import Event, EventKind, EventRecorder
@@ -26,7 +25,6 @@ class TestProtocol:
         assert isinstance(RingBufferSink(8), Sink)
         with JsonlSink(tmp_path / "e.jsonl") as sink:
             assert isinstance(sink, Sink)
-        assert isinstance(TeeSink(NullSink()), Sink)
 
     def test_recorder_satisfies_protocol(self):
         # The legacy recorder keeps working anywhere a Sink is expected.
@@ -97,15 +95,3 @@ class TestJsonlSink:
         with pytest.raises(ValueError, match="closed"):
             sink.emit(make_event(0))
 
-
-class TestTeeSink:
-    def test_fans_out_and_sums_drops(self, tmp_path):
-        ring = RingBufferSink(capacity=2)
-        null = NullSink()
-        tee = TeeSink(ring, null)
-        for i in range(5):
-            tee.emit(make_event(i))
-        tee.close()
-        assert len(ring) == 2
-        assert null.emitted == 5
-        assert tee.dropped == 3

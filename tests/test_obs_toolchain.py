@@ -38,7 +38,7 @@ def run_tiny(tiny_config, tiny_world, small_hardware, telemetry=None):
         hardware=small_hardware,
     )
     if telemetry is not None:
-        engine.set_telemetry(telemetry)
+        engine.subscribe(telemetry)
     policy.warm(traces)
     report = engine.run(test[:2])
     if telemetry is not None:
@@ -148,7 +148,7 @@ class TestServeSpanStalls:
             )
         )
         telemetry = Telemetry()
-        report = run_system(world, case.system, telemetry=telemetry)
+        report = run_system(world, case.system, observers=[telemetry])
         serves = [s for s in telemetry.tracer.spans if s.name == "serve"]
         assert any(s.args["stall_cause"] for s in serves), "no stalls"
         for cause in ("prefetch_stall", "ondemand_load"):

@@ -21,7 +21,7 @@ def traced_run(tiny_config, tiny_world, small_hardware):
         hardware=small_hardware,
     )
     recorder = EventRecorder()
-    engine.set_recorder(recorder)
+    engine.subscribe(recorder)
     policy.warm(traces)
     report = engine.run(test[:2])
     return recorder, report, tiny_config

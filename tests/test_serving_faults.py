@@ -298,7 +298,7 @@ def run_report(
         slo=slo,
     )
     if recorder is not None:
-        engine.set_recorder(recorder)
+        engine.subscribe(recorder)
     if requests is None:
         requests = [
             Request(request_id=i, cluster=0, input_tokens=8, output_tokens=4)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.policy import FMoEPolicy
 from repro.errors import ConfigError
 from repro.moe.model import MoEModel
+from repro.obs.telemetry import Telemetry
 from repro.serving.engine import ServingEngine
 from repro.serving.request import Request
 from repro.serving.scheduler import (
@@ -89,6 +90,25 @@ class TestRunScheduled:
             sjf_report.e2e_latencies().mean()
             < fcfs_report.e2e_latencies().mean()
         )
+
+    def test_telemetry_sees_every_dispatch(self, tiny_config, small_hardware):
+        engine = make_engine(tiny_config, small_hardware)
+        telemetry = Telemetry()
+        engine.subscribe(telemetry)
+        # Three arrive together, so the backlog is non-empty at first.
+        requests = [
+            Request(i, i % 2, 4 + i, 2, arrival_time=0.0 if i < 3 else 50.0)
+            for i in range(5)
+        ]
+        run_scheduled(engine, requests, FCFSScheduler())
+        assert telemetry.dispatches.value() == len(requests)
+        dispatched = [
+            i.args["request_id"]
+            for i in telemetry.tracer.instants
+            if i.name == "dispatch"
+        ]
+        assert sorted(dispatched) == list(range(len(requests)))
+        assert telemetry.queue_depth.value() == 0
 
     def test_empty_trace_rejected(self, tiny_config, small_hardware):
         engine = make_engine(tiny_config, small_hardware)

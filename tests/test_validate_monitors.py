@@ -13,6 +13,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.experiments.common import make_engine, run_system
 from repro.obs.sinks import RingBufferSink
+from repro.obs.telemetry import Telemetry
 from repro.serving.events import Event, EventKind
 from repro.serving.export import report_to_json
 from repro.serving.faults import (
@@ -98,13 +99,49 @@ class TestTelemetryNeutrality:
 
     def test_existing_recorder_keeps_its_stream(self):
         world = tiny_world()
+        plain = report_to_json(run_system(world, "fmoe"))
         solo = RingBufferSink(4096)
-        run_system(world, "fmoe", recorder=solo)
-        tee = RingBufferSink(4096)
-        run_system(world, "fmoe", recorder=tee, monitor=MonitorSuite())
-        assert [e.to_dict() for e in tee.events] == [
-            e.to_dict() for e in solo.events
-        ]
+        run_system(world, "fmoe", observers=[solo])
+        alone = Telemetry()
+        run_system(world, "fmoe", observers=[alone])
+        alone.finalize()
+
+        def events(ring):
+            return [e.to_dict() for e in ring.events]
+
+        monitored = RingBufferSink(4096)
+        run_system(
+            world, "fmoe", observers=[monitored], monitor=MonitorSuite()
+        )
+        assert events(monitored) == events(solo)
+
+        # Telemetry, a ring and the monitors on one engine, with the
+        # monitors subscribed last and first: every subscriber sees
+        # exactly what it would see alone, whatever the order.
+        for monitors_first in (False, True):
+            ring, telemetry = RingBufferSink(4096), Telemetry()
+            suite = MonitorSuite()
+            if monitors_first:
+                report = run_system(
+                    world,
+                    "fmoe",
+                    observers=[ring, telemetry],
+                    mutate=suite.bind,
+                )
+            else:
+                report = run_system(
+                    world, "fmoe", observers=[telemetry, ring], monitor=suite
+                )
+            telemetry.finalize()
+            suite.finish(report, admitted=len(world.test_requests))
+            assert report_to_json(report) == plain
+            assert events(ring) == events(solo)
+            assert telemetry.tracer.to_chrome() == alone.tracer.to_chrome()
+            assert (
+                telemetry.metrics.to_prometheus()
+                == alone.metrics.to_prometheus()
+            )
+            assert suite.ok, suite.summary()
 
 
 class TestViolationPlumbing:
