@@ -25,7 +25,6 @@ from scipy.optimize import linprog
 from scipy.sparse import lil_matrix
 
 from repro.errors import ConfigError
-from repro.moe.config import MoEModelConfig
 from repro.types import ExpertId
 from repro.workloads.profiler import RequestTrace
 

@@ -1,33 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-- ``models``   — print the Table-1 model characteristics.
-- ``compare``  — offline fMoE-vs-baselines comparison (Fig. 9 style).
-- ``overall``  — the full Fig. 9 (model × dataset × system) table.
-- ``online``   — cold-start online trace replay (Fig. 10 style).
-- ``sweep``    — TPOT vs expert-cache budget (Fig. 11 style).
-- ``entropy``  — coarse vs fine entropy analysis (Fig. 3b style).
-- ``pearson``  — similarity/hit-rate Pearson coefficients (Fig. 8 style).
-- ``tune``     — prefetch-distance profiling (the paper's §6.1 setup step).
-- ``faults``   — chaos matrix: systems under scripted fault scenarios.
-- ``cluster``  — multi-replica cluster simulation with affinity routing
-  (``--chaos`` / ``--resilience`` engage the cluster resilience layer).
-- ``storm-lite`` — resilience off vs. on under cluster-scope chaos.
-- ``storm``    — multi-tenant traffic storm: full-day census plus a
-  priority-aware simulation window at 10k/100k/1m offered requests.
-- ``fleet``    — heterogeneous fleet-shape sweep: cost-aware placement +
-  routing vs. the uniform baseline, scored as SLO attainment per dollar.
-- ``grid``     — sweep (model, dataset, system, budget) grids to CSV.
-- ``report``   — collate ``benchmarks/results`` into one markdown report.
-- ``profile``  — save a world's warm traces and/or a warm expert-map store.
-- ``trace``    — run one policy with full telemetry; write trace + metrics.
-- ``inspect``  — summarize a recorded trace directory (stalls, tables) or
-  a cluster-report JSON (replica table, resilience counters).
-- ``journeys`` — per-request journeys with critical-path attribution for
-  one cluster run (top-K slowest, phase breakdown).
-- ``slo``      — burn-rate alert replay over a saved cluster report.
-- ``validate`` — invariant monitors, metamorphic laws, mutant detection.
+``python -m repro --help`` lists the commands (one per paper table or
+figure, plus the chaos, cluster, storm, fleet, observability and
+validation tools); each command's help text sits beside its parser in
+:func:`build_parser`.  Model, dataset, policy, router, placement and
+replica-profile names come from the registries that define them, and
+model, dataset, policy and router names accept unambiguous prefixes.
 """
 
 from __future__ import annotations
@@ -36,28 +14,14 @@ import argparse
 import sys
 from typing import Sequence
 
-MODEL_CHOICES = (
-    "mixtral-8x7b",
-    "qwen1.5-moe",
-    "phi-3.5-moe",
-    "deepseek-moe",
+from repro.cluster.config import (
+    PLACEMENT_NAMES,
+    REPLICA_PROFILES,
+    ROUTER_NAMES,
 )
-DATASET_CHOICES = ("lmsys-chat-1m", "sharegpt")
-POLICY_CHOICES = (
-    "fmoe",
-    "deepspeed-inference",
-    "mixtral-offloading",
-    "promoe",
-    "moe-infinity",
-    "no-offload",
-    "oracle",
-)
-ROUTER_CHOICES = (
-    "round-robin",
-    "least-outstanding",
-    "semantic-affinity",
-    "cost-aware",
-)
+from repro.experiments.common import POLICY_NAMES, ExperimentConfig
+from repro.moe.config import ALL_MODELS
+from repro.workloads.datasets import DATASET_PROFILES
 
 
 def _prefix_choice(choices: tuple[str, ...]):
@@ -77,28 +41,22 @@ def _prefix_choice(choices: tuple[str, ...]):
     return resolve
 
 
-def _add_world_args(
-    parser: argparse.ArgumentParser, fuzzy: bool = False
-) -> None:
-    if fuzzy:
-        # ``repro trace --model mixtral`` style: unambiguous prefixes OK.
-        parser.add_argument(
-            "--model",
-            default="mixtral-8x7b",
-            type=_prefix_choice(MODEL_CHOICES),
-        )
-        parser.add_argument(
-            "--dataset",
-            default="lmsys-chat-1m",
-            type=_prefix_choice(DATASET_CHOICES),
-        )
-    else:
-        parser.add_argument(
-            "--model", default="mixtral-8x7b", choices=MODEL_CHOICES
-        )
-        parser.add_argument(
-            "--dataset", default="lmsys-chat-1m", choices=DATASET_CHOICES
-        )
+def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--dataset",
+        default="lmsys-chat-1m",
+        type=_prefix_choice(tuple(DATASET_PROFILES)),
+    )
+
+
+def _add_world_args(parser: argparse.ArgumentParser) -> None:
+    # ``--model mixtral`` style: unambiguous prefixes are accepted.
+    parser.add_argument(
+        "--model",
+        default="mixtral-8x7b",
+        type=_prefix_choice(tuple(model.name for model in ALL_MODELS)),
+    )
+    _add_dataset_arg(parser)
     parser.add_argument("--requests", type=int, default=40)
     parser.add_argument("--test-requests", type=int, default=6)
     parser.add_argument(
@@ -113,13 +71,15 @@ def _add_world_args(
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_validate_arg(parser: argparse.ArgumentParser) -> None:
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """``--validate`` and ``--jobs``, which every sweep command takes."""
     parser.add_argument(
         "--validate",
         action="store_true",
         help="attach runtime invariant monitors to every cell and fail "
         "on the first breach (results are unchanged otherwise)",
     )
+    _add_jobs_arg(parser)
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -130,18 +90,52 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
         help="workers for independent simulation cells "
         "(0 = all cores; results are identical at any level)",
     )
+
+
+def _add_deadline_arg(parser: argparse.ArgumentParser, default: float) -> None:
     parser.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default="process",
-        help="pool flavor for --jobs > 1: isolated worker processes or "
-        "one shared-cache thread pool (identical results either way)",
+        "--deadline-multiplier",
+        type=float,
+        default=default,
+        help="SLO deadline as a multiple of the healthy reference run's "
+        "p95 latency (floored at 1 s)",
     )
 
 
-def _config_from_args(args: argparse.Namespace):
-    from repro.experiments.common import ExperimentConfig
+def _add_system_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--system", default="fmoe", type=_prefix_choice(POLICY_NAMES)
+    )
 
+
+def _pick(kind: str, items: Sequence, names: Sequence[str] | None):
+    """The ``items`` named by ``names`` (all of them when none are named).
+
+    An unknown name prints the choices and returns None, which the
+    command turns into exit code 2.
+    """
+    if not names:
+        return tuple(items)
+    by_name = {item.name: item for item in items}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        known = ", ".join(sorted(by_name))
+        print(f"unknown {kind}(s) {unknown}; choose from: {known}")
+        return None
+    return tuple(by_name[name] for name in names)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """Write a benchmark payload as sorted, indented JSON."""
+    import json
+    from pathlib import Path
+
+    target = Path(path)
+    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {target}")
+
+
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         model_name=args.model,
         dataset=args.dataset,
@@ -211,7 +205,6 @@ def cmd_overall(args: argparse.Namespace) -> int:
         systems=tuple(args.systems or SYSTEM_NAMES),
         config=config,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
@@ -234,9 +227,9 @@ def cmd_online(args: argparse.Namespace) -> int:
     from repro.experiments.common import (
         SYSTEM_NAMES,
         build_world,
+        online_trace,
         run_system,
     )
-    from repro.workloads.azure import AzureTraceConfig, make_azure_trace
     from repro.workloads.datasets import get_dataset_profile
 
     config = _config_from_args(args)
@@ -251,13 +244,8 @@ def cmd_online(args: argparse.Namespace) -> int:
             max_requests=args.trace_requests,
         )
     else:
-        trace = make_azure_trace(
-            AzureTraceConfig(
-                num_requests=args.trace_requests,
-                mean_interarrival_seconds=args.rate,
-            ),
-            get_dataset_profile(args.dataset),
-            seed=args.seed + 10,
+        trace = online_trace(
+            config, args.trace_requests, args.rate, seed_offset=10
         )
     for system in args.systems or list(SYSTEM_NAMES):
         report = run_system(
@@ -279,7 +267,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         limits_gb=tuple(args.limits),
         config=config,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
@@ -374,7 +361,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
         budgets_gb=args.budgets or None,
         config=config,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     text = grid_to_csv(cells, args.output)
@@ -430,15 +416,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
 
     config = _config_from_args(args)
-    scenarios = default_scenarios(args.seed)
-    if args.scenarios:
-        by_name = {s.name: s for s in scenarios}
-        unknown = [name for name in args.scenarios if name not in by_name]
-        if unknown:
-            known = ", ".join(sorted(by_name))
-            print(f"unknown scenario(s) {unknown}; choose from: {known}")
-            return 2
-        scenarios = tuple(by_name[name] for name in args.scenarios)
+    scenarios = _pick("scenario", default_scenarios(args.seed), args.scenarios)
+    if scenarios is None:
+        return 2
     rows = chaos_rows(
         systems=tuple(args.systems or CHAOS_SYSTEMS),
         scenarios=scenarios,
@@ -446,7 +426,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         trace_requests=args.trace_requests,
         rate_seconds=args.rate,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
@@ -464,12 +443,31 @@ def _chaos_faults(args: argparse.Namespace):
         return True, None
     from repro.experiments.resilience import default_storm_scenarios
 
-    scenarios = {s.name: s for s in default_storm_scenarios(args.seed)}
-    if args.chaos not in scenarios:
-        known = ", ".join(sorted(scenarios))
-        print(f"unknown chaos scenario {args.chaos!r}; choose from: {known}")
+    picked = _pick(
+        "chaos scenario", default_storm_scenarios(args.seed), [args.chaos]
+    )
+    if picked is None:
         return False, None
-    return True, scenarios[args.chaos].cluster_faults
+    return True, picked[0].cluster_faults
+
+
+def _serve_cluster(args: argparse.Namespace, spec, cluster_faults, **kwargs):
+    """Replay the command's online trace through a ``spec`` cluster."""
+    from repro.cluster import run_cluster
+    from repro.experiments.common import build_world, online_trace
+
+    config = _config_from_args(args)
+    trace = online_trace(
+        config, args.trace_requests, args.rate, seed_offset=10
+    )
+    return run_cluster(
+        build_world(config),
+        args.system,
+        spec,
+        requests=trace,
+        cluster_faults=cluster_faults,
+        **kwargs,
+    )
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -479,21 +477,18 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         ClusterSpec,
         ResilienceConfig,
         cluster_report_to_json,
-        run_cluster,
     )
     from repro.experiments.cluster_scaling import cluster_scaling_rows
-    from repro.experiments.common import build_world, online_trace
 
-    config = _config_from_args(args)
     if args.compare:
         rows = cluster_scaling_rows(
             replica_counts=tuple(args.replica_counts),
-            config=config,
+            config=_config_from_args(args),
             system=args.system,
             trace_requests=args.trace_requests,
             rate_seconds=args.rate,
             jobs=args.jobs,
-            executor=args.executor,
+            validate=args.validate,
         )
         for row in rows:
             print(row.format())
@@ -508,9 +503,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         return 2
     profiles = None
     if args.profiles:
-        from repro.cluster import get_profile
-
-        profiles = tuple(get_profile(name) for name in args.profiles)
+        profiles = tuple(REPLICA_PROFILES[name] for name in args.profiles)
     spec = ClusterSpec(
         replicas=args.replicas,
         router=args.router,
@@ -521,18 +514,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         profiles=profiles,
         placement=args.placement,
     )
-    world = build_world(config)
-    trace = online_trace(
-        config, args.trace_requests, args.rate, seed_offset=10
-    )
-    report = run_cluster(
-        world,
-        args.system,
-        spec,
-        requests=trace,
-        cluster_faults=cluster_faults,
-        validate=args.validate,
-    )
+    report = _serve_cluster(args, spec, cluster_faults, validate=args.validate)
     print(
         f"{args.system} x{args.replicas} router={args.router}: "
         f"routed={report.routed} served={len(report.aggregate.requests)} "
@@ -599,15 +581,11 @@ def cmd_storm_lite(args: argparse.Namespace) -> int:
     )
 
     config = _config_from_args(args)
-    scenarios = default_storm_scenarios(args.seed)
-    if args.scenarios:
-        by_name = {s.name: s for s in scenarios}
-        unknown = [name for name in args.scenarios if name not in by_name]
-        if unknown:
-            known = ", ".join(sorted(by_name))
-            print(f"unknown scenario(s) {unknown}; choose from: {known}")
-            return 2
-        scenarios = tuple(by_name[name] for name in args.scenarios)
+    scenarios = _pick(
+        "scenario", default_storm_scenarios(args.seed), args.scenarios
+    )
+    if scenarios is None:
+        return 2
     rows = storm_rows(
         scenarios=scenarios,
         config=config,
@@ -616,7 +594,6 @@ def cmd_storm_lite(args: argparse.Namespace) -> int:
         rate_seconds=args.rate,
         deadline_multiplier=args.deadline_multiplier,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
@@ -626,9 +603,6 @@ def cmd_storm_lite(args: argparse.Namespace) -> int:
 
 def cmd_storm(args: argparse.Namespace) -> int:
     """Multi-tenant storm: census + priority-aware window per scale."""
-    import json
-    from pathlib import Path
-
     from repro.experiments.storm import storm_results
 
     config = _config_from_args(args)
@@ -642,7 +616,6 @@ def cmd_storm(args: argparse.Namespace) -> int:
         admission_burst=args.admission_burst,
         deadline_multiplier=args.deadline_multiplier,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for res in results:
@@ -670,32 +643,20 @@ def cmd_storm(args: argparse.Namespace) -> int:
             "admission_burst": args.admission_burst,
             "scales": [res.to_dict() for res in results],
         }
-        path = Path(args.bench_out)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {path}")
+        _write_json(args.bench_out, payload)
     return 0
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Heterogeneous fleet sweep: SLO-per-dollar, uniform vs. cost-aware."""
-    import json
     from dataclasses import asdict
-    from pathlib import Path
 
     from repro.experiments.fleet import default_fleet_shapes, fleet_rows
 
     config = _config_from_args(args)
-    shapes = default_fleet_shapes()
-    if args.shapes:
-        by_name = {s.name: s for s in shapes}
-        unknown = [name for name in args.shapes if name not in by_name]
-        if unknown:
-            known = ", ".join(sorted(by_name))
-            print(f"unknown shape(s) {unknown}; choose from: {known}")
-            return 2
-        shapes = tuple(by_name[name] for name in args.shapes)
+    shapes = _pick("shape", default_fleet_shapes(), args.shapes)
+    if shapes is None:
+        return 2
     rows = fleet_rows(
         shapes=shapes,
         config=config,
@@ -704,15 +665,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         rate_seconds=args.rate,
         deadline_multiplier=args.deadline_multiplier,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
         print(row.format())
     wins = sum(
-        1
-        for i in range(0, len(rows), 2)
-        if rows[i + 1].slo_per_dollar > rows[i].slo_per_dollar
+        cost_aware.slo_per_dollar > uniform.slo_per_dollar
+        for uniform, cost_aware in zip(rows[::2], rows[1::2])
     )
     print(
         f"cost-aware strictly wins SLO-per-dollar on {wins} of "
@@ -730,11 +689,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             "shapes": len(rows) // 2,
             "rows": [asdict(row) for row in rows],
         }
-        path = Path(args.bench_out)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {path}")
+        _write_json(args.bench_out, payload)
     return 0
 
 
@@ -780,9 +735,7 @@ def cmd_journeys(args: argparse.Namespace) -> int:
         ClusterSpec,
         ResilienceConfig,
         cluster_report_to_json,
-        run_cluster,
     )
-    from repro.experiments.common import build_world, online_trace
     from repro.obs import (
         FleetSeries,
         JourneyRecorder,
@@ -791,7 +744,6 @@ def cmd_journeys(args: argparse.Namespace) -> int:
         render_slo_summary,
     )
 
-    config = _config_from_args(args)
     known, cluster_faults = _chaos_faults(args)
     if not known:
         return 2
@@ -800,22 +752,13 @@ def cmd_journeys(args: argparse.Namespace) -> int:
         router=args.router,
         resilience=ResilienceConfig() if args.resilience else None,
     )
-    world = build_world(config)
-    trace = online_trace(
-        config, args.trace_requests, args.rate, seed_offset=10
-    )
     journeys = JourneyRecorder()
     fleet = FleetSeries(interval_seconds=args.sample_interval)
     slo_tracker = SLOTracker(
         objective=args.slo_objective, deadline_seconds=args.slo_deadline
     )
-    report = run_cluster(
-        world,
-        args.system,
-        spec,
-        requests=trace,
-        cluster_faults=cluster_faults,
-        observers=[journeys, fleet, slo_tracker],
+    report = _serve_cluster(
+        args, spec, cluster_faults, observers=[journeys, fleet, slo_tracker]
     )
     print(render_journeys(journeys.ordered(), top=args.top))
     print()
@@ -957,8 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print fMoE's mean improvement over each baseline",
     )
-    _add_validate_arg(p)
-    _add_jobs_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_overall)
 
     p = sub.add_parser("online", help="online trace replay (Fig. 10 style)")
@@ -979,8 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limits", nargs="*", type=float, default=[6, 12, 24, 48, 96]
     )
-    _add_validate_arg(p)
-    _add_jobs_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("entropy", help="entropy analysis (Fig. 3b style)")
@@ -1004,8 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budgets", nargs="*", type=float, default=None)
     p.add_argument("--output", default=None)
-    _add_validate_arg(p)
-    _add_jobs_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser(
@@ -1034,8 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trace-requests", type=int, default=24)
     p.add_argument("--rate", type=float, default=2.0)
-    _add_validate_arg(p)
-    _add_jobs_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser(
@@ -1047,12 +986,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--router",
         default="round-robin",
-        type=_prefix_choice(ROUTER_CHOICES),
+        type=_prefix_choice(ROUTER_NAMES),
         help="placement policy (unambiguous prefixes accepted)",
     )
-    p.add_argument(
-        "--system", default="fmoe", type=_prefix_choice(POLICY_CHOICES)
-    )
+    _add_system_arg(p)
     p.add_argument(
         "--shared-store",
         action="store_true",
@@ -1098,13 +1035,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--profiles",
         nargs="*",
         default=None,
+        choices=tuple(REPLICA_PROFILES),
         help="per-replica hardware profile names (replica i uses "
         "profiles[i %% len]); e.g. fast-nvlink slow-pcie3",
     )
     p.add_argument(
         "--placement",
         default=None,
-        choices=("uniform", "cost-aware"),
+        choices=PLACEMENT_NAMES,
         help="pre-warm each replica's expert cache from a placement plan",
     )
     p.add_argument("--trace-requests", type=int, default=24)
@@ -1112,8 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", default=None, help="write the cluster report JSON here"
     )
-    _add_validate_arg(p)
-    _add_jobs_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser(
@@ -1121,9 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resilience off vs. on under cluster-scope chaos",
     )
     _add_world_args(p)
-    p.add_argument(
-        "--system", default="fmoe", type=_prefix_choice(POLICY_CHOICES)
-    )
+    _add_system_arg(p)
     p.add_argument(
         "--scenarios",
         nargs="*",
@@ -1132,14 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trace-requests", type=int, default=24)
     p.add_argument("--rate", type=float, default=1.5)
-    p.add_argument(
-        "--deadline-multiplier",
-        type=float,
-        default=3.0,
-        help="SLO deadline as a multiple of the healthy p95 latency",
-    )
-    _add_validate_arg(p)
-    _add_jobs_arg(p)
+    _add_deadline_arg(p, default=3.0)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_storm_lite)
 
     p = sub.add_parser(
@@ -1148,9 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
         "priority-aware simulation window per scale",
     )
     _add_world_args(p)
-    p.add_argument(
-        "--system", default="fmoe", type=_prefix_choice(POLICY_CHOICES)
-    )
+    _add_system_arg(p)
     p.add_argument(
         "--scales",
         nargs="*",
@@ -1173,19 +1100,13 @@ def build_parser() -> argparse.ArgumentParser:
         "so higher scales overload naturally",
     )
     p.add_argument("--admission-burst", type=int, default=8)
-    p.add_argument(
-        "--deadline-multiplier",
-        type=float,
-        default=3.0,
-        help="SLO deadline as a multiple of the healthy reference p95",
-    )
+    _add_deadline_arg(p, default=3.0)
     p.add_argument(
         "--bench-out",
         default=None,
         help="write the storm as JSON (e.g. benchmarks/BENCH_storm.json)",
     )
-    _add_validate_arg(p)
-    _add_jobs_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_storm)
 
     p = sub.add_parser(
@@ -1194,9 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "uniform vs. cost-aware placement + routing",
     )
     _add_world_args(p)
-    p.add_argument(
-        "--system", default="fmoe", type=_prefix_choice(POLICY_CHOICES)
-    )
+    _add_system_arg(p)
     p.add_argument(
         "--shapes",
         nargs="*",
@@ -1205,20 +1124,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trace-requests", type=int, default=24)
     p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument(
-        "--deadline-multiplier",
-        type=float,
-        default=1.0,
-        help="SLO deadline as a multiple of the homogeneous reference's "
-        "p95 latency",
-    )
+    _add_deadline_arg(p, default=1.0)
     p.add_argument(
         "--bench-out",
         default=None,
         help="write the sweep as JSON (e.g. benchmarks/BENCH_fleet.json)",
     )
-    _add_validate_arg(p)
-    _add_jobs_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser(
@@ -1239,11 +1151,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--router",
         default="round-robin",
-        type=_prefix_choice(ROUTER_CHOICES),
+        type=_prefix_choice(ROUTER_NAMES),
     )
-    p.add_argument(
-        "--system", default="fmoe", type=_prefix_choice(POLICY_CHOICES)
-    )
+    _add_system_arg(p)
     p.add_argument(
         "--chaos",
         default=None,
@@ -1292,11 +1202,11 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run one policy with full telemetry; write trace + metrics",
     )
-    _add_world_args(p, fuzzy=True)
+    _add_world_args(p)
     p.add_argument(
         "--policy",
         default="fmoe",
-        type=_prefix_choice(POLICY_CHOICES),
+        type=_prefix_choice(POLICY_NAMES),
         help="system to trace (unambiguous prefixes accepted)",
     )
     p.add_argument(
@@ -1345,7 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["mixtral-8x7b", "qwen1.5-moe"],
         help="models to validate (each gets its own world and report)",
     )
-    p.add_argument("--dataset", default="lmsys-chat-1m", choices=DATASET_CHOICES)
+    _add_dataset_arg(p)
     p.add_argument("--requests", type=int, default=14)
     p.add_argument("--test-requests", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

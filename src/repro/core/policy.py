@@ -34,7 +34,6 @@ from repro.core.matcher import (
     ExpertMapMatcher,
     IncrementalTrajectoryMatch,
     ReferenceTrajectoryMatch,
-    MatchResult,
 )
 from repro.core.overheads import OverheadModel
 from repro.core.prefetch import (

@@ -20,7 +20,7 @@ replica-count) grid fans out across a process pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cluster.config import ROUTER_NAMES, ClusterSpec
 from repro.cluster.metrics import ClusterReport
@@ -62,8 +62,8 @@ def cluster_scaling_rows(
     trace_requests: int = 32,
     rate_seconds: float = 1.0,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
+    validate: bool = False,
 ) -> list[ClusterScalingRow]:
     """Run the (router × replica-count) cluster grid.
 
@@ -71,25 +71,30 @@ def cluster_scaling_rows(
     (``warm=False`` — see the module docstring), so the only variable per
     row pair is the placement policy.  ``jobs`` fans the grid across a
     process pool; rows come back in (router, replicas) order regardless.
+    ``validate`` attaches invariant monitors to every cell (see
+    :class:`SimCell`).
     """
     base = config or ExperimentConfig()
-    trace = tuple(
-        online_trace(base, trace_requests, rate_seconds, seed_offset=10)
+    template = SimCell(
+        config=base,
+        system=system,
+        requests=tuple(
+            online_trace(base, trace_requests, rate_seconds, seed_offset=10)
+        ),
+        respect_arrivals=True,
+        validate=validate,
     )
     grid = [
         (router, count) for router in routers for count in replica_counts
     ]
     cells = [
-        SimCell(
-            config=base,
-            system=system,
-            requests=trace,
-            respect_arrivals=True,
+        replace(
+            template,
             cluster=ClusterSpec(replicas=count, router=router, warm=False),
         )
         for router, count in grid
     ]
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
     rows: list[ClusterScalingRow] = []
     for (router, count), report in zip(grid, reports):
         assert isinstance(report, ClusterReport)

@@ -9,7 +9,7 @@ it, and produces a :class:`~repro.serving.metrics.ServingReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.baselines import (
     BasePolicy,
@@ -122,26 +122,38 @@ def build_world(config: ExperimentConfig) -> World:
     )
 
 
+#: Every system :func:`make_policy` builds, keyed by name: the five
+#: compared systems plus the no-offload floor and the oracle bound.
+_POLICY_FACTORIES: dict[str, Callable[[ExperimentConfig], BasePolicy]] = {
+    "fmoe": lambda config: FMoEPolicy(
+        prefetch_distance=config.prefetch_distance,
+        store_capacity=config.store_capacity,
+    ),
+    "deepspeed-inference": lambda config: DeepSpeedPolicy(),
+    "mixtral-offloading": lambda config: MixtralOffloadingPolicy(),
+    "promoe": lambda config: ProMoEPolicy(
+        prefetch_distance=config.prefetch_distance
+    ),
+    "moe-infinity": lambda config: MoEInfinityPolicy(
+        prefetch_distance=config.prefetch_distance
+    ),
+    "no-offload": lambda config: NoOffloadPolicy(),
+    "oracle": lambda config: OraclePolicy(
+        prefetch_distance=config.prefetch_distance
+    ),
+}
+
+#: Names :func:`make_policy` accepts (a superset of :data:`SYSTEM_NAMES`).
+POLICY_NAMES: tuple[str, ...] = tuple(_POLICY_FACTORIES)
+
+
 def make_policy(name: str, config: ExperimentConfig) -> BasePolicy:
     """Instantiate one of the compared systems by name."""
-    if name == "fmoe":
-        return FMoEPolicy(
-            prefetch_distance=config.prefetch_distance,
-            store_capacity=config.store_capacity,
-        )
-    if name == "deepspeed-inference":
-        return DeepSpeedPolicy()
-    if name == "mixtral-offloading":
-        return MixtralOffloadingPolicy()
-    if name == "promoe":
-        return ProMoEPolicy(prefetch_distance=config.prefetch_distance)
-    if name == "moe-infinity":
-        return MoEInfinityPolicy(prefetch_distance=config.prefetch_distance)
-    if name == "no-offload":
-        return NoOffloadPolicy()
-    if name == "oracle":
-        return OraclePolicy(prefetch_distance=config.prefetch_distance)
-    raise ConfigError(f"unknown system {name!r}")
+    try:
+        factory = _POLICY_FACTORIES[name]
+    except KeyError:
+        raise ConfigError(f"unknown system {name!r}") from None
+    return factory(config)
 
 
 def make_engine(
@@ -266,3 +278,14 @@ def online_trace(
         get_dataset_profile(config.dataset),
         seed=config.seed + seed_offset,
     )
+
+
+def calibrated_deadline(report: ServingReport, multiplier: float) -> float:
+    """A deadline calibrated on a healthy reference run.
+
+    ``multiplier`` times the reference's p95 end-to-end latency, floored
+    at one second so a near-instant reference still leaves a usable
+    budget.  The A/B sweeps set their SLO deadlines (and the chaos
+    matrix its queue-delay budgets) this way.
+    """
+    return max(multiplier * report.percentile_latency(95), 1.0)

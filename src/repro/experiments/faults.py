@@ -17,10 +17,14 @@ the same seed produce identical rows, fault timeline included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cluster.config import ClusterSpec
-from repro.experiments.common import ExperimentConfig, online_trace
+from repro.experiments.common import (
+    ExperimentConfig,
+    calibrated_deadline,
+    online_trace,
+)
 from repro.experiments.runner import SimCell, WorldCache, run_cells
 from repro.serving.faults import (
     DeviceFailure,
@@ -125,7 +129,6 @@ def chaos_rows(
     rate_seconds: float = 2.0,
     queue_budget_multiplier: float = 2.0,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     cluster: ClusterSpec | None = None,
     validate: bool = False,
@@ -160,49 +163,38 @@ def chaos_rows(
     )
     matrix = scenarios if scenarios is not None else default_scenarios(base.seed)
 
-    def cell(system: str, faults: FaultConfig, slo: SLOConfig) -> SimCell:
-        return SimCell(
+    healthy = [
+        SimCell(
             config=base,
             system=system,
             requests=trace,
             respect_arrivals=True,
-            faults=faults,
-            slo=slo,
+            faults=FaultConfig(seed=base.seed),
+            slo=SLOConfig(),
             cluster=cluster,
             validate=validate,
         )
-
-    healthy_faults = FaultConfig(seed=base.seed)
-    reference_reports = run_cells(
-        [cell(system, healthy_faults, SLOConfig()) for system in systems],
-        jobs=jobs,
-        executor=executor,
-        cache=cache,
-    )
-    reference = dict(zip(systems, reference_reports))
-
-    faulty_specs = [
-        (system, index)
         for system in systems
-        for index, scenario in enumerate(matrix)
-        if not scenario.is_healthy
     ]
-    faulty_cells = []
-    for system, index in faulty_specs:
-        healthy_p95 = reference[system].percentile_latency(95)
-        slo = SLOConfig(
-            queue_delay_budget_seconds=max(
-                queue_budget_multiplier * healthy_p95, 1.0
-            )
-        )
-        faulty_cells.append(cell(system, matrix[index].faults, slo))
-    faulty_reports = dict(
-        zip(
-            faulty_specs,
-            run_cells(
-                faulty_cells, jobs=jobs, cache=cache, executor=executor
+    reference = dict(zip(systems, run_cells(healthy, jobs=jobs, cache=cache)))
+
+    # Each system's healthy cell is the template for its faulty cells.
+    faulty = {
+        (cell.system, index): replace(
+            cell,
+            faults=scenario.faults,
+            slo=SLOConfig(
+                queue_delay_budget_seconds=calibrated_deadline(
+                    reference[cell.system], queue_budget_multiplier
+                )
             ),
         )
+        for cell in healthy
+        for index, scenario in enumerate(matrix)
+        if not scenario.is_healthy
+    }
+    faulty_reports = dict(
+        zip(faulty, run_cells(list(faulty.values()), jobs=jobs, cache=cache))
     )
 
     rows: list[ChaosRow] = []

@@ -17,7 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.cluster.config import ClusterSpec, ReplicaProfile, get_profile
-from repro.experiments.common import ExperimentConfig, online_trace
+from repro.experiments.common import (
+    ExperimentConfig,
+    calibrated_deadline,
+    online_trace,
+)
 from repro.experiments.runner import SimCell, WorldCache, run_cells
 
 
@@ -122,7 +126,6 @@ def fleet_rows(
     rate_seconds: float = 1.0,
     deadline_multiplier: float = 1.0,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[FleetRow]:
@@ -143,78 +146,63 @@ def fleet_rows(
     matrix = shapes if shapes is not None else default_fleet_shapes()
     if not matrix:
         return []
-    trace = tuple(
-        online_trace(base, trace_requests, rate_seconds, seed_offset=30)
+    template = SimCell(
+        config=base,
+        system=system,
+        requests=tuple(
+            online_trace(base, trace_requests, rate_seconds, seed_offset=30)
+        ),
+        respect_arrivals=True,
+        validate=validate,
     )
-    reference_replicas = max(len(s.profiles) for s in matrix)
-
-    reference = run_cells(
+    (reference,) = run_cells(
         [
-            SimCell(
-                config=base,
-                system=system,
-                requests=trace,
-                respect_arrivals=True,
+            replace(
+                template,
                 cluster=ClusterSpec(
-                    replicas=reference_replicas,
+                    replicas=max(len(s.profiles) for s in matrix),
                     router="least-outstanding",
                 ),
-                validate=validate,
             )
         ],
-        jobs=jobs,
-        executor=executor,
         cache=cache,
-    )[0]
-    deadline = max(
-        deadline_multiplier * reference.percentile_latency(95), 1.0
     )
+    deadline = calibrated_deadline(reference, deadline_multiplier)
 
-    cells = []
-    for shape in matrix:
-        spec = ClusterSpec(
-            replicas=len(shape.profiles),
-            router="least-outstanding",
-            profiles=shape.profiles,
+    keys = [(shape, arm) for shape in matrix for arm in FLEET_ARMS]
+    cells = [
+        replace(
+            template,
+            cluster=ClusterSpec(
+                replicas=len(shape.profiles),
+                router=router,
+                profiles=shape.profiles,
+                placement=placement,
+            ),
         )
-        for _, placement, router in FLEET_ARMS:
-            cells.append(
-                SimCell(
-                    config=base,
-                    system=system,
-                    requests=trace,
-                    respect_arrivals=True,
-                    cluster=replace(
-                        spec, placement=placement, router=router
-                    ),
-                    validate=validate,
-                )
-            )
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
-
+        for shape, (_, placement, router) in keys
+    ]
     rows: list[FleetRow] = []
-    for index, shape in enumerate(matrix):
-        for offset, (arm, _, _) in enumerate(FLEET_ARMS):
-            report = reports[len(FLEET_ARMS) * index + offset]
-            fleet = report.fleet
-            rows.append(
-                FleetRow(
-                    shape=shape.name,
-                    arm=arm,
-                    replicas=len(shape.profiles),
-                    slo_attainment=report.slo_attainment(deadline),
-                    deadline_seconds=deadline,
-                    dollars_per_hour=fleet.dollars_per_hour,
-                    slo_per_dollar=report.slo_per_dollar(deadline),
-                    mean_ttft_seconds=report.mean_ttft(),
-                    hit_rate=report.hit_rate,
-                    served=len(report.aggregate.requests),
-                    shed=report.shed_requests,
-                    preloaded=sum(
-                        row["preloaded"] for row in fleet.profiles
-                    ),
-                    placement_cost=fleet.placement_cost,
-                    placement_seed_cost=fleet.placement_seed_cost,
-                )
+    for (shape, (arm, _, _)), report in zip(
+        keys, run_cells(cells, jobs=jobs, cache=cache)
+    ):
+        fleet = report.fleet
+        rows.append(
+            FleetRow(
+                shape=shape.name,
+                arm=arm,
+                replicas=len(shape.profiles),
+                slo_attainment=report.slo_attainment(deadline),
+                deadline_seconds=deadline,
+                dollars_per_hour=fleet.dollars_per_hour,
+                slo_per_dollar=report.slo_per_dollar(deadline),
+                mean_ttft_seconds=report.mean_ttft(),
+                hit_rate=report.hit_rate,
+                served=len(report.aggregate.requests),
+                shed=report.shed_requests,
+                preloaded=sum(row["preloaded"] for row in fleet.profiles),
+                placement_cost=fleet.placement_cost,
+                placement_seed_cost=fleet.placement_seed_cost,
             )
+        )
     return rows

@@ -3,7 +3,9 @@
 The per-figure experiment modules cover the paper's artifacts; this module
 is the open-ended tool: sweep any combination of models, datasets, systems,
 and cache budgets, collect one row per cell, and export CSV for external
-analysis.  Used by ``python -m repro grid``.
+analysis.  Used by ``python -m repro grid``.  Every cell is a
+:class:`~repro.experiments.runner.SimCell`, so ``--jobs N`` fans the grid
+across worker processes and the CSV is byte-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -55,19 +57,16 @@ def run_grid(
     jobs: int | None = 1,
     cache: WorldCache | None = None,
     validate: bool = False,
-    executor: str = "process",
 ) -> list[GridCell]:
     """Run every grid cell; ``budgets_gb=None`` uses the default budget.
 
-    ``jobs`` fans independent cells across a pool (0 = all cores);
-    results are merged in sweep order, so the output is identical to a
-    sequential run.  ``executor`` picks the ``jobs>1`` pool flavor
-    (``"process"`` or ``"thread"`` — see
-    :func:`~repro.experiments.runner.run_cells`).  Worlds are shared
-    across budgets and systems through ``cache`` (or each worker's
-    process cache).  ``validate`` attaches runtime invariant monitors to
-    every cell and raises :class:`~repro.errors.ValidationError` on the
-    first breach.
+    ``jobs`` fans independent cells across a process pool (0 = all
+    cores; see :func:`~repro.experiments.runner.run_cells`); results
+    are merged in sweep order, so the output is identical to a
+    sequential run.  Worlds are shared across budgets and systems
+    through ``cache`` (or each worker's process cache).  ``validate``
+    attaches runtime invariant monitors to every cell and raises
+    :class:`~repro.errors.ValidationError` on the first breach.
     """
     if not models or not datasets or not systems:
         raise ConfigError("models, datasets, and systems must be non-empty")
@@ -98,7 +97,7 @@ def run_grid(
                             validate=validate,
                         )
                     )
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
     return [
         GridCell(
             model=model,

@@ -15,11 +15,10 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentConfig,
     build_world,
+    online_trace,
     run_system,
     SYSTEM_NAMES,
 )
-from repro.workloads.azure import AzureTraceConfig, make_azure_trace
-from repro.workloads.datasets import get_dataset_profile
 
 
 @dataclass(frozen=True)
@@ -42,18 +41,17 @@ def online_cdfs(
     systems: tuple[str, ...] = SYSTEM_NAMES,
     num_requests: int = 64,
     config: ExperimentConfig | None = None,
-    trace: AzureTraceConfig | None = None,
 ) -> list[OnlineCDF]:
-    """Request-latency CDFs per (model, system) under cold-start replay."""
-    base = config or ExperimentConfig()
-    trace = trace or AzureTraceConfig(num_requests=num_requests)
-    profile = get_dataset_profile(dataset)
+    """Request-latency CDFs per (model, system) under cold-start replay.
+
+    Every model replays one arrival trace of ``num_requests`` requests
+    at a 2 s mean inter-arrival gap.
+    """
+    base = (config or ExperimentConfig()).with_(dataset=dataset)
+    requests = online_trace(base, num_requests, 2.0, seed_offset=10)
     results = []
     for model in models:
-        world = build_world(
-            base.with_(model_name=model, dataset=dataset, num_requests=8)
-        )
-        requests = make_azure_trace(trace, profile, seed=base.seed + 10)
+        world = build_world(base.with_(model_name=model, num_requests=8))
         for system in systems:
             report = run_system(
                 world,

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import ExperimentConfig, SYSTEM_NAMES
-from repro.experiments.runner import SimCell, WorldCache, run_cells
+from repro.experiments.grid import run_grid
+from repro.experiments.runner import WorldCache
 
 
 @dataclass(frozen=True)
@@ -37,43 +38,34 @@ def overall_rows(
     systems: tuple[str, ...] = SYSTEM_NAMES,
     config: ExperimentConfig | None = None,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[OverallRow]:
     """TTFT/TPOT/hit-rate rows for every (model, dataset, system) cell.
 
-    Cells are independent simulations; ``jobs`` spreads them over a
-    process pool (0 = all cores) with results merged in sweep order.
-    ``validate`` attaches invariant monitors to every cell (see
-    :class:`SimCell`).
+    The default-budget slice of :func:`~repro.experiments.grid.run_grid`:
+    cells are independent simulations, ``jobs`` spreads them over a
+    process pool (0 = all cores) with results merged in sweep order, and
+    ``validate`` attaches invariant monitors to every cell.
     """
-    base = config or ExperimentConfig()
-    specs = [
-        (model, dataset, system)
-        for model in models
-        for dataset in datasets
-        for system in systems
-    ]
-    cells = [
-        SimCell(
-            config=base.with_(model_name=model, dataset=dataset),
-            system=system,
-            validate=validate,
-        )
-        for model, dataset, system in specs
-    ]
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
     return [
         OverallRow(
-            model=model,
-            dataset=dataset,
-            system=system,
-            ttft_seconds=report.mean_ttft(),
-            tpot_seconds=report.mean_tpot(),
-            hit_rate=report.hit_rate,
+            model=cell.model,
+            dataset=cell.dataset,
+            system=cell.system,
+            ttft_seconds=cell.ttft_seconds,
+            tpot_seconds=cell.tpot_seconds,
+            hit_rate=cell.hit_rate,
         )
-        for (model, dataset, system), report in zip(specs, reports)
+        for cell in run_grid(
+            models,
+            datasets,
+            systems,
+            config=config,
+            jobs=jobs,
+            cache=cache,
+            validate=validate,
+        )
     ]
 
 

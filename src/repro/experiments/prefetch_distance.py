@@ -16,7 +16,6 @@ from repro.analysis.tracking import (
 )
 from repro.experiments.common import ExperimentConfig, build_world
 from repro.workloads.profiler import collect_history
-from repro.workloads.split import warm_test_split
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.cluster.config import ClusterSpec, ResilienceConfig
-from repro.experiments.common import ExperimentConfig, online_trace
+from repro.errors import ConfigError
+from repro.experiments.common import (
+    ExperimentConfig,
+    calibrated_deadline,
+    online_trace,
+)
 from repro.experiments.runner import SimCell, WorldCache, run_cells
 from repro.serving.faults import (
     ClusterFaultConfig,
@@ -171,7 +176,6 @@ def storm_rows(
     rate_seconds: float = 1.5,
     deadline_multiplier: float = 3.0,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[StormRow]:
@@ -191,84 +195,67 @@ def storm_rows(
     base = config or ExperimentConfig()
     spec = cluster or ClusterSpec(replicas=3, router="least-outstanding")
     if spec.resilience is not None:
-        raise ValueError(
+        raise ConfigError(
             "pass the on-arm knobs via resilience=, not on the spec "
             "(the spec is shared by both arms)"
         )
-    trace = tuple(
-        online_trace(base, trace_requests, rate_seconds, seed_offset=20)
-    )
     matrix = (
         scenarios
         if scenarios is not None
         else default_storm_scenarios(base.seed)
     )
-
-    reference = run_cells(
-        [
-            SimCell(
-                config=base,
-                system=system,
-                requests=trace,
-                respect_arrivals=True,
-                cluster=spec,
-                validate=validate,
-            )
-        ],
-        jobs=jobs,
-        executor=executor,
-        cache=cache,
-    )[0]
-    healthy_p95 = reference.percentile_latency(95)
-    deadline = max(deadline_multiplier * healthy_p95, 1.0)
+    template = SimCell(
+        config=base,
+        system=system,
+        requests=tuple(
+            online_trace(base, trace_requests, rate_seconds, seed_offset=20)
+        ),
+        respect_arrivals=True,
+        cluster=spec,
+        validate=validate,
+    )
+    (reference,) = run_cells([template], cache=cache)
+    deadline = calibrated_deadline(reference, deadline_multiplier)
     armed = (
         resilience
         if resilience is not None
-        else default_storm_resilience(healthy_p95)
+        else default_storm_resilience(reference.percentile_latency(95))
     )
 
-    cells = []
-    for scenario in matrix:
-        for arm_spec in (spec, replace(spec, resilience=armed)):
-            cells.append(
-                SimCell(
-                    config=base,
-                    system=system,
-                    requests=trace,
-                    respect_arrivals=True,
-                    faults=scenario.faults,
-                    cluster=arm_spec,
-                    cluster_faults=scenario.cluster_faults,
-                    validate=validate,
-                )
-            )
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
-
+    arms = (("off", spec), ("on", replace(spec, resilience=armed)))
+    keys = [(scenario, arm) for scenario in matrix for arm in arms]
+    cells = [
+        replace(
+            template,
+            faults=scenario.faults,
+            cluster=arm_spec,
+            cluster_faults=scenario.cluster_faults,
+        )
+        for scenario, (_, arm_spec) in keys
+    ]
     rows: list[StormRow] = []
-    for index, scenario in enumerate(matrix):
-        for offset, arm in enumerate(("off", "on")):
-            report = reports[2 * index + offset]
-            res = report.resilience
-            rows.append(
-                StormRow(
-                    scenario=scenario.name,
-                    resilience=arm,
-                    slo_attainment=report.slo_attainment(deadline),
-                    deadline_seconds=deadline,
-                    served=sum(
-                        1
-                        for o in report.outcomes
-                        if o.outcome == "served"
-                    ),
-                    shed=res.total_shed,
-                    failed=res.failed,
-                    retries=res.retry_dispatches,
-                    hedges=res.hedges,
-                    hedge_wins=res.hedge_wins,
-                    breaker_opens=res.breaker_opens,
-                    crashes=res.crashes,
-                    restarts=res.restarts,
-                    lost_in_flight=res.lost_in_flight,
-                )
+    for (scenario, (arm, _)), report in zip(
+        keys, run_cells(cells, jobs=jobs, cache=cache)
+    ):
+        res = report.resilience
+        rows.append(
+            StormRow(
+                scenario=scenario.name,
+                resilience=arm,
+                slo_attainment=report.slo_attainment(deadline),
+                deadline_seconds=deadline,
+                served=sum(
+                    1 for o in report.outcomes if o.outcome == "served"
+                ),
+                shed=res.total_shed,
+                failed=res.failed,
+                retries=res.retry_dispatches,
+                hedges=res.hedges,
+                hedge_wins=res.hedge_wins,
+                breaker_opens=res.breaker_opens,
+                crashes=res.crashes,
+                restarts=res.restarts,
+                lost_in_flight=res.lost_in_flight,
             )
+        )
     return rows

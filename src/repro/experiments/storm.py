@@ -29,13 +29,13 @@ byte-deterministic at any ``jobs`` level.
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Sequence
 
 from repro.cluster.config import ClusterSpec, ResilienceConfig
 from repro.errors import ConfigError
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, calibrated_deadline
 from repro.experiments.runner import SimCell, WorldCache, run_cells
 from repro.obs.slo import TieredSLOTracker
 from repro.workloads.traffic import (
@@ -245,7 +245,6 @@ def storm_results(
     deadline_multiplier: float = 3.0,
     objective: float = 0.9,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[StormScaleResult]:
@@ -263,7 +262,12 @@ def storm_results(
     base = config or ExperimentConfig()
     if sim_requests < 1:
         raise ConfigError("sim_requests must be >= 1")
-    spec = storm_spec(replicas, admission_rate, admission_burst)
+    template = SimCell(
+        config=base,
+        system=system,
+        cluster=storm_spec(replicas, admission_rate, admission_burst),
+        validate=validate,
+    )
     reference_spec = ClusterSpec(
         replicas=replicas,
         router="least-outstanding",
@@ -271,64 +275,40 @@ def storm_results(
     )
 
     plans = []
+    keys: list[tuple] = []
     cells: list[SimCell] = []
     for text in scales:
         label, count = parse_scale(text)
         traffic = default_storm_traffic(count, seed=base.seed)
         census = traffic_census(stream_traffic(traffic))
         window = _sim_window(traffic, sim_requests)
-        tenant_names = tuple(t.name for t in traffic.tenants)
-        start = len(cells)
-        cells.append(
-            SimCell(
-                config=base,
-                system=system,
-                requests=window,
-                cluster=reference_spec,
-                validate=validate,
-            )
-        )
-        cells.append(
-            SimCell(
-                config=base,
-                system=system,
-                requests=window,
-                cluster=spec,
-                validate=validate,
-            )
-        )
-        for name in tenant_names:
+        keys += [(label, "reference"), (label, "mixed")]
+        cells += [
+            replace(template, requests=window, cluster=reference_spec),
+            replace(template, requests=window),
+        ]
+        for name in (t.name for t in traffic.tenants):
+            keys.append((label, "solo", name))
             cells.append(
-                SimCell(
-                    config=base,
-                    system=system,
-                    requests=tuple(
-                        r for r in window if r.tenant == name
-                    ),
-                    cluster=spec,
-                    validate=validate,
+                replace(
+                    template,
+                    requests=tuple(r for r in window if r.tenant == name),
                 )
             )
-        plans.append((label, count, census, window, tenant_names, start))
+        plans.append((label, count, census, window))
 
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = dict(zip(keys, run_cells(cells, jobs=jobs, cache=cache)))
 
     results: list[StormScaleResult] = []
-    for label, count, census, window, tenant_names, start in plans:
-        reference = reports[start]
-        mixed = reports[start + 1]
-        solos = {
-            name: reports[start + 2 + offset]
-            for offset, name in enumerate(tenant_names)
-        }
+    for label, count, census, window in plans:
+        reference = reports[label, "reference"]
+        mixed = reports[label, "mixed"]
         if mixed.tenancy is None:
             raise ConfigError(
                 "storm window produced no tenancy report; requests must "
                 "carry tenant/tier tags"
             )
-        deadline = max(
-            deadline_multiplier * reference.percentile_latency(95), 1.0
-        )
+        deadline = calibrated_deadline(reference, deadline_multiplier)
         tiers_by_id = {r.request_id: r.tier for r in window}
         tracker = TieredSLOTracker(
             objective=objective, deadline_seconds=deadline
@@ -361,7 +341,7 @@ def storm_results(
 
         tenant_rows = []
         for name, tenant in sorted(mixed.tenancy.tenants.items()):
-            solo = solos.get(name)
+            solo = reports.get((label, "solo", name))
             solo_hit = None
             if solo is not None and solo.tenancy is not None:
                 solo_tenant = solo.tenancy.tenants.get(name)

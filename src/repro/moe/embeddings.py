@@ -89,8 +89,28 @@ def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    a_norm = np.linalg.norm(a, axis=1, keepdims=True)
-    b_norm = np.linalg.norm(b, axis=1, keepdims=True)
-    a_norm[a_norm == 0.0] = 1.0
-    b_norm[b_norm == 0.0] = 1.0
-    return (a / a_norm) @ (b / b_norm).T
+    return _unit_rows(a) @ _unit_rows(b).T
+
+
+#: Below this norm a row's squared norm is subnormal (or zero) in float64
+#: and has lost precision: sqrt of the smallest normal double.
+_MIN_SAFE_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with every nonzero row scaled to unit length.
+
+    Rows whose squared norm underflows are first divided by their
+    largest magnitude, so a row of 1e-162 normalizes like a row of 1.
+    Every other row takes the plain ``x / norm`` path, bit for bit.
+    """
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    tiny = norm[:, 0] < _MIN_SAFE_NORM
+    if tiny.any():
+        peak = np.abs(x[tiny]).max(axis=1, keepdims=True)
+        peak[peak == 0.0] = 1.0
+        x = x.copy()
+        x[tiny] /= peak
+        norm[tiny] = np.linalg.norm(x[tiny], axis=1, keepdims=True)
+    norm[norm == 0.0] = 1.0
+    return x / norm

@@ -255,6 +255,13 @@ class ServingEngine:
     def now(self) -> float:
         return self._now
 
+    def idle_until(self, time: float) -> None:
+        """Advance the clock to ``time`` (an idle gap before an arrival);
+        the clock never moves backwards, so an earlier ``time`` is a
+        no-op."""
+        if time > self._now:
+            self._now = time
+
     def subscribe(self, observer: EngineObserver) -> None:
         """Add ``observer`` after the existing subscribers.
 
@@ -338,8 +345,7 @@ class ServingEngine:
         """
         batch = list(batch)
         if respect_arrivals:
-            ready_at = max(r.arrival_time for r in batch)
-            self._now = max(self._now, ready_at)
+            self.idle_until(max(r.arrival_time for r in batch))
             batch = self.shed_overdue(batch, report)
             if not batch:
                 return []
@@ -384,8 +390,8 @@ class ServingEngine:
         active: list[_ActiveRequest] = []
         iteration = 0
         while index < len(backlog) or active:
-            if not active and backlog[index].arrival_time > self._now:
-                self._now = backlog[index].arrival_time
+            if not active:
+                self.idle_until(backlog[index].arrival_time)
             while (
                 index < len(backlog)
                 and backlog[index].arrival_time <= self._now

@@ -79,8 +79,7 @@ def run_scheduled(
             pending.append(backlog[index])
             index += 1
         if not pending:
-            # Idle until the next arrival.
-            engine._now = max(now, backlog[index].arrival_time)
+            engine.idle_until(backlog[index].arrival_time)
             continue
         chosen = scheduler.select(pending, engine.now)
         pending.remove(chosen)

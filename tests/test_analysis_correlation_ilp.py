@@ -1,6 +1,5 @@
 """Tests for the correlation analysis (Fig. 8) and the §3.3 formulation."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.correlation import similarity_hitrate_correlation

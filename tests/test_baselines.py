@@ -14,7 +14,6 @@ from repro.baselines.base import BasePolicy, LFUTracker, LRUTracker
 from repro.errors import CapacityError
 from repro.moe.model import MoEModel
 from repro.serving.engine import ServingEngine
-from repro.serving.request import Request
 from repro.types import ExpertId
 
 E = ExpertId

@@ -40,6 +40,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--model", "gpt-4"])
 
+    @pytest.mark.parametrize("command", ["compare", "trace", "storm"])
+    def test_model_and_dataset_accept_prefixes(self, command):
+        args = build_parser().parse_args(
+            [command, "--model", "qwen", "--dataset", "share"]
+            + (["--out-dir", "x"] if command == "trace" else [])
+        )
+        assert (args.model, args.dataset) == ("qwen1.5-moe", "sharegpt")
+
+    def test_validate_dataset_accepts_prefixes(self):
+        args = build_parser().parse_args(["validate", "--dataset", "lm"])
+        assert args.dataset == "lmsys-chat-1m"
+
+    @pytest.mark.parametrize("flag", ["--profiles", "--placement"])
+    def test_unknown_registry_name_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", flag, "nope"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
     def test_subcommand_discovery_sees_the_whole_surface(self):
         commands = all_subcommands()
         assert "validate" in commands
@@ -129,6 +148,44 @@ class TestObservabilityCommands:
         )
         assert code == 2
         assert "unknown chaos scenario" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "--scenarios", "healthy", "nope"],
+            ["storm-lite", "--scenarios", "nope"],
+            ["fleet", "--shapes", "nope"],
+        ],
+    )
+    def test_unknown_named_item_exits_2(self, argv, capsys):
+        assert main([*argv, *self.WORLD]) == 2
+        out = capsys.readouterr().out
+        assert "['nope']; choose from:" in out
+
+    def test_validated_cluster_compare_builds_validated_cells(
+        self, monkeypatch, capsys
+    ):
+        from repro.experiments import cluster_scaling
+        from repro.experiments.runner import run_cells
+
+        seen = []
+
+        def recording_run_cells(cells, **kwargs):
+            seen.extend(cells)
+            return run_cells(cells, **kwargs)
+
+        monkeypatch.setattr(cluster_scaling, "run_cells", recording_run_cells)
+        code = main(
+            [
+                "cluster", *self.WORLD,
+                "--compare", "--validate",
+                "--replica-counts", "1",
+                "--trace-requests", "4",
+            ]
+        )
+        assert code == 0
+        assert seen and all(cell.validate for cell in seen)
+        assert len(capsys.readouterr().out.splitlines()) == len(seen)
 
     def test_slo_replays_saved_report(self, tmp_path, capsys):
         out_dir = tmp_path / "obs"

@@ -677,3 +677,13 @@ class TestSLOAttainment:
 
     def test_empty_report_is_zero_not_nan(self):
         assert ClusterReport().slo_attainment(1.0) == 0.0
+
+
+class TestStormRowsInput:
+    def test_spec_carrying_resilience_is_a_config_error(self):
+        """Both arms share the spec; the on-arm knobs go in resilience=."""
+        from repro.experiments.resilience import storm_rows
+
+        spec = ClusterSpec(replicas=3, resilience=ResilienceConfig())
+        with pytest.raises(ConfigError, match="resilience="):
+            storm_rows(cluster=spec)

@@ -13,7 +13,6 @@ from repro.cluster import (
     ClusterReport,
     ClusterSpec,
     ReplicaSummary,
-    RouteDecision,
     ScaleEvent,
     cluster_report_to_json,
     make_router,

@@ -1,6 +1,5 @@
 """Tests for continuous batching (iteration-boundary admission)."""
 
-import numpy as np
 import pytest
 
 from repro.core.policy import FMoEPolicy

@@ -1,7 +1,5 @@
 """Tests for the prefetch-distance auto-tuner."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.autotune import (

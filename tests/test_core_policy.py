@@ -1,12 +1,10 @@
 """Tests for the assembled FMoEPolicy."""
 
-import numpy as np
 import pytest
 
 from repro.core.policy import FMoEPolicy
 from repro.errors import ConfigError
 from repro.serving.engine import ServingEngine
-from repro.serving.request import Request
 
 
 def make_engine(model, policy, hardware, budget_experts=16):

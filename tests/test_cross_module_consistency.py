@@ -5,7 +5,6 @@ import pytest
 from repro.core.policy import FMoEPolicy
 from repro.moe.model import MoEModel
 from repro.serving.engine import ServingEngine
-from repro.serving.request import Request
 
 
 @pytest.fixture

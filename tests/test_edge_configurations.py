@@ -1,9 +1,7 @@
 """Edge-configuration coverage: degenerate model shapes still work."""
 
-import pytest
-
 from repro.core.policy import FMoEPolicy
-from repro.moe.config import MoEModelConfig, tiny_test_model
+from repro.moe.config import tiny_test_model
 from repro.moe.model import MoEModel
 from repro.serving.engine import ServingEngine
 from repro.serving.hardware import HardwareConfig

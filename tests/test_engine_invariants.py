@@ -1,7 +1,5 @@
 """Engine invariants under randomized workloads and harsh conditions."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -137,37 +137,6 @@ class TestRunCells:
             parallel
         )
 
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ConfigError, match="executor"):
-            run_cells(
-                [SimCell(config=SMALL, system="fmoe")] * 2,
-                jobs=2,
-                executor="greenlet",
-            )
-
-    def test_thread_executor_identical_to_sequential(self, cache):
-        """The shared-cache thread pool reproduces jobs=1 byte for byte."""
-        cells = [
-            SimCell(config=SMALL, system="fmoe"),
-            SimCell(
-                config=SMALL,
-                system="moe-infinity",
-                cache_budget_bytes=8_000_000_000,
-            ),
-            SimCell(
-                config=SMALL,
-                system="fmoe",
-                requests=_online_trace(),
-                respect_arrivals=True,
-                faults=FaultConfig(seed=0, transfer_failure_prob=0.2),
-            ),
-        ]
-        sequential = run_cells(cells, jobs=1, cache=cache)
-        threaded = run_cells(cells, jobs=4, executor="thread", cache=cache)
-        assert [report_to_json(r) for r in sequential] == [
-            report_to_json(r) for r in threaded
-        ]
-
     def test_run_grid_parallel_identical(self, cache):
         kwargs = dict(
             systems=("fmoe", "moe-infinity"),
@@ -176,9 +145,7 @@ class TestRunCells:
         )
         sequential = run_grid(jobs=1, cache=cache, **kwargs)
         parallel = run_grid(jobs=2, **kwargs)
-        threaded = run_grid(jobs=2, executor="thread", **kwargs)
         assert grid_to_csv(sequential) == grid_to_csv(parallel)
-        assert grid_to_csv(sequential) == grid_to_csv(threaded)
 
     def test_chaos_rows_parallel_identical(self, cache):
         from repro.experiments.faults import (

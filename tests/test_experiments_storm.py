@@ -3,7 +3,7 @@
 The heavyweight claims behind ``repro storm``:
 
 - rows are byte-deterministic — the same config yields the identical
-  JSON payload, at any ``jobs`` level and executor;
+  JSON payload, at any ``jobs`` level;
 - under overload the premium tier's SLO attainment is never below the
   batch tier's (that is what the admission bypass buys);
 - the full-day census is memory-bounded — a million-request day streams
@@ -58,7 +58,7 @@ class TestDeterminism:
         assert _payload(again) == _payload(sequential_results)
 
     def test_jobs_never_change_a_byte(self, sequential_results):
-        fanned = storm_results(jobs=2, executor="thread", **STORM_KNOBS)
+        fanned = storm_results(jobs=2, **STORM_KNOBS)
         assert _payload(fanned) == _payload(sequential_results)
 
 

@@ -1,6 +1,5 @@
 """End-to-end integration tests across substrates and policies."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import ConfigError
 from repro.moe.config import tiny_test_model
 from repro.serving.hardware import HardwareConfig
 from repro.serving.pool import ExpertPool

@@ -92,6 +92,23 @@ class TestCosineSimilarityMatrix:
                 rng.standard_normal((2, 8)), rng.standard_normal((2, 9))
             )
 
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-162, 5e-324])
+    def test_tiny_rows_normalize_to_unit(self, tiny):
+        """Rows whose squared norm is subnormal or underflows to zero."""
+        a = np.eye(1, 6)
+        assert cosine_similarity_matrix(a, tiny * a)[0, 0] == 1.0
+        assert cosine_similarity_matrix(-tiny * a, a)[0, 0] == -1.0
+
+    def test_normal_rows_keep_their_bits(self, rng):
+        a = rng.standard_normal((4, 8))
+        b = rng.standard_normal((5, 8))
+        b[2] = 0.0
+        a_unit = a / np.linalg.norm(a, axis=1, keepdims=True)
+        b_norm = np.linalg.norm(b, axis=1, keepdims=True)
+        b_norm[b_norm == 0.0] = 1.0
+        expected = a_unit @ (b / b_norm).T
+        assert np.array_equal(cosine_similarity_matrix(a, b), expected)
+
     def test_accepts_1d_inputs(self):
         scores = cosine_similarity_matrix(np.ones(4), np.ones(4))
         assert scores.shape == (1, 1)

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for fMoE's core data structures."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -108,6 +108,16 @@ class TestMathHelpers:
         b=hnp.arrays(
             np.float64, (4, 6), elements=st.floats(-10, 10, allow_nan=False)
         ),
+    )
+    # A tiny row's squared norm is subnormal (1e-160) or underflows to
+    # zero (1e-162); both must still normalize to a unit row.
+    @example(
+        a=np.tile(np.eye(1, 6), (3, 1)),
+        b=np.tile(1e-160 * np.eye(1, 6), (4, 1)),
+    )
+    @example(
+        a=np.tile(np.eye(1, 6), (3, 1)),
+        b=np.tile(1e-162 * np.eye(1, 6), (4, 1)),
     )
     def test_cosine_bounded(self, a, b):
         scores = cosine_similarity_matrix(a, b)

@@ -6,7 +6,6 @@ from repro.core.policy import FMoEPolicy
 from repro.moe.model import MoEModel
 from repro.serving.engine import ServingEngine
 from repro.serving.events import EventKind, EventRecorder
-from repro.serving.request import Request
 from repro.types import ExpertId
 
 

@@ -114,3 +114,24 @@ class TestRunScheduled:
         engine = make_engine(tiny_config, small_hardware)
         with pytest.raises(ConfigError):
             run_scheduled(engine, [], FCFSScheduler())
+
+
+class TestIdleUntil:
+    def test_advances_the_clock(self, tiny_config, small_hardware):
+        engine = make_engine(tiny_config, small_hardware)
+        engine.idle_until(7.5)
+        assert engine.now == 7.5
+
+    def test_never_moves_the_clock_backwards(
+        self, tiny_config, small_hardware
+    ):
+        engine = make_engine(tiny_config, small_hardware)
+        engine.idle_until(10.0)
+        for earlier in (9.999, 0.0, -5.0):
+            engine.idle_until(earlier)
+            assert engine.now == 10.0
+        engine.run([Request(0, 0, 4, 2)], batch_size=1)
+        served_until = engine.now
+        assert served_until > 10.0
+        engine.idle_until(10.0)
+        assert engine.now == served_until
