@@ -9,6 +9,7 @@ capacity several times over.
 import numpy as np
 from _util import emit, run_once
 
+from repro.core.matcher import IncrementalTrajectoryMatch
 from repro.core.store import ExpertMapStore
 from repro.experiments.common import ExperimentConfig, build_world
 from repro.workloads.profiler import collect_history
@@ -33,10 +34,10 @@ def _mean_best_similarity(store, test_traces):
         sem = store.semantic_scores(trace.embedding[None, :])
         scores.append(float(sem.max()))
         for iteration_map in trace.iteration_maps[:4]:
-            traj = store.trajectory_scores(
-                iteration_map[None, :, :], store.num_layers // 2
-            )
-            scores.append(float(traj.max()))
+            session = IncrementalTrajectoryMatch(store, 1)
+            for row in iteration_map[: store.num_layers // 2]:
+                traj = session.observe_layer(row[None, :])
+            scores.append(float(traj.scores[0]))
     return float(np.mean(scores))
 
 

@@ -83,10 +83,10 @@ def similarity_hitrate_correlation(
                 sem_scores.append(sem_score)
                 sem_hits.append(hits / total)
 
-            query = matcher.trajectory_query(iteration_map[None, :, :])
+            session = matcher.incremental_session(1)
             for layer in range(config.num_layers - distance):
                 target = layer + distance
-                result = query.match(layer + 1) if query else None
+                result = session.observe_layer(iteration_map[layer][None, :])
                 assert result is not None
                 score = float(result.scores[0])
                 row = matcher.matched_row(result, 0, target)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.matcher import IncrementalTrajectoryMatch
 from repro.core.store import ExpertMapStore
 from repro.errors import ConfigError
 from repro.moe.config import MoEModelConfig
@@ -85,10 +86,10 @@ def coverage_curve(
             store.add(embedding, grid)
         best = []
         for _, grid in probes:
-            scores = store.trajectory_scores(
-                grid[None, :, :], config.num_layers
-            )
-            best.append(float(scores.max()))
+            session = IncrementalTrajectoryMatch(store, 1)
+            for row in grid:
+                result = session.observe_layer(row[None, :])
+            best.append(float(result.scores[0]))
         best_arr = np.array(best)
         points.append(
             CoveragePoint(

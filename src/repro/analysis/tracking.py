@@ -115,13 +115,12 @@ def evaluate_fine_grained(
                     select(row, float(semantic.scores[0])),
                 )
                 hits, total = hits + h, total + t
-            # Later layers: trajectory search from the observed prefix.
-            # The query is flattened once and matched at every prefix
-            # length (see CachedTrajectoryQuery).
-            query = matcher.trajectory_query(iteration_map[None, :, :])
+            # Later layers: trajectory search from the observed prefix,
+            # folding one layer into the iteration's session at a time.
+            session = matcher.incremental_session(1)
             for layer in range(config.num_layers - distance):
                 target = layer + distance
-                result = query.match(layer + 1) if query else None
+                result = session.observe_layer(iteration_map[layer][None, :])
                 assert result is not None
                 row = matcher.matched_row(result, 0, target)
                 h, t = _containment(

@@ -3,8 +3,13 @@
 - :class:`ExpertMap` — iteration-level gate probability distributions
   across layers (§4.1).
 - :class:`ExpertMapStore` — capacity-bounded history with redundancy-score
-  deduplication (§4.4).
-- :class:`ExpertMapMatcher` — semantic + trajectory cosine search (§4.2).
+  deduplication (§4.4) and the semantic search (Eq. 4).
+- :class:`ExpertMapMatcher` — semantic matches and per-iteration
+  trajectory sessions (§4.2).  Eq. 5 has one implementation,
+  :class:`~repro.core.matcher.IncrementalTrajectoryMatch`, which the
+  serving policy and the offline evaluators both drive layer by layer;
+  :class:`~repro.core.matcher.ReferenceTrajectoryMatch` is its naive
+  full-refold oracle.
 - :mod:`repro.core.prefetch` — similarity-aware expert selection with the
   dynamic threshold δ = clip(1 − score) and prefetch priorities (§4.3, §4.5).
 - :class:`FMoECacheScorer` — the 1/(p·freq) eviction priority (§4.5).

@@ -11,9 +11,10 @@ use is layer-sequential, so the most recently used expert is the one
 *least* likely to be needed next.
 
 The scorer keeps its state in dense ``(L, J)`` arrays so the pool's
-columnar eviction path can score a whole candidate set with one fancy
-index (:meth:`FMoECacheScorer.score_evictions`) instead of one Python
-call per candidate.  The score matrix is maintained incrementally —
+columnar eviction path reads every candidate's score from one flat matrix
+(:meth:`FMoECacheScorer.score_matrix`, surfaced to the pool as the
+policy's ``eviction_score_matrix``) instead of one Python call per
+candidate.  The score matrix is maintained incrementally —
 ``touch`` updates one cell, prediction merges refresh one row, and only
 the per-iteration reset triggers a lazy full rebuild — so keeping it
 current costs O(J) per mutation instead of O(L·J) per query.
@@ -116,7 +117,3 @@ class FMoECacheScorer:
                 * np.maximum(self._freq, 1)
             )
         return self._scores.reshape(-1)
-
-    def score_evictions(self, flat: np.ndarray, now: float) -> np.ndarray:
-        """Vectorized :meth:`eviction_priority` over flat expert indices."""
-        return self.score_matrix()[flat]

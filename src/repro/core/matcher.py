@@ -9,6 +9,13 @@ Two fine-grained search modes over the Expert Map Store:
   been observed, match the partial trajectory against stored map prefixes
   (Eq. 5) and borrow the matched map's row for layer ``l + d``.
 
+Eq. 5 has one implementation, :class:`IncrementalTrajectoryMatch`: a
+session per iteration that folds each layer's gate rows in as they arrive
+and answers the match at the prefix observed so far.  The serving policy
+and the offline evaluators (hit-rate tracking, Pearson, coverage, store
+capacity) all drive it.  :class:`ReferenceTrajectoryMatch` is the naive
+full-refold oracle the scalar core and the parity suite compare it with.
+
 The matcher also carries the virtual-latency model for one batched match
 (a base cost plus a per-stored-record term), which the asynchronous policy
 reports as off-critical-path overhead (Fig. 15).
@@ -39,7 +46,7 @@ class MatchResult:
 
 
 class ExpertMapMatcher:
-    """Batched semantic/trajectory search with a matching-cost model."""
+    """Semantic search, trajectory sessions and a matching-cost model."""
 
     def __init__(
         self,
@@ -66,19 +73,6 @@ class ExpertMapMatcher:
             scores=scores[np.arange(scores.shape[0]), best],
         )
 
-    def match_trajectory(
-        self, observed: np.ndarray, num_layers: int
-    ) -> MatchResult | None:
-        """Best trajectory match per query prefix; None if store empty."""
-        if self.store.is_empty:
-            return None
-        scores = self.store.trajectory_scores(observed, num_layers)
-        best = np.argmax(scores, axis=1)
-        return MatchResult(
-            indices=best,
-            scores=scores[np.arange(scores.shape[0]), best],
-        )
-
     def matched_row(self, result: MatchResult, pos: int, layer: int) -> np.ndarray:
         """Layer ``layer`` of the map matched for query ``pos``."""
         return self.store.get_map(int(result.indices[pos]))[layer]
@@ -90,73 +84,6 @@ class ExpertMapMatcher:
     def reference_session(self, batch_size: int) -> "ReferenceTrajectoryMatch":
         """Start the naive full-refold trajectory match (scalar core)."""
         return ReferenceTrajectoryMatch(self.store, batch_size)
-
-    def trajectory_query(
-        self, observed: np.ndarray
-    ) -> "CachedTrajectoryQuery | None":
-        """Cache one request's trajectory for repeated prefix matches.
-
-        Offline evaluators match the same iteration map at many prefix
-        lengths; the cached query flattens and norm-sums it once so each
-        subsequent :meth:`CachedTrajectoryQuery.match` is a single sliced
-        matrix product.  Returns None if the store is empty (mirroring
-        :meth:`match_trajectory`).
-        """
-        if self.store.is_empty:
-            return None
-        return CachedTrajectoryQuery(self.store, observed)
-
-
-class CachedTrajectoryQuery:
-    """One query trajectory, flattened once, matchable at any prefix.
-
-    A loop calling :meth:`ExpertMapMatcher.match_trajectory` at prefix
-    lengths 1..L re-flattens the query and recomputes its norm per call;
-    this caches the float64 flattening and the cumulative prefix norms up
-    front, leaving each match as one sliced product against the store's
-    pre-normalized rows.  The store is snapshot at construction time
-    (``size`` records), so scores are stable even if records are added
-    while the query is alive.
-    """
-
-    def __init__(self, store: ExpertMapStore, observed: np.ndarray) -> None:
-        observed = np.atleast_3d(np.asarray(observed, dtype=np.float64))
-        if observed.shape[2] != store.num_experts:
-            raise ValueError(
-                f"dimension mismatch: {observed.shape[2]} vs "
-                f"{store.num_experts}"
-            )
-        self.store = store
-        self.size = len(store)
-        self.max_layers = min(observed.shape[1], store.num_layers)
-        self._flat = observed.reshape(observed.shape[0], -1)
-        norms = np.sqrt(np.cumsum((observed**2).sum(axis=2), axis=1))
-        norms[norms == 0.0] = 1.0
-        self._prefix_norms = norms
-
-    @property
-    def batch_size(self) -> int:
-        return self._flat.shape[0]
-
-    def match(self, num_layers: int) -> MatchResult:
-        """Best stored match for the first ``num_layers`` observed layers."""
-        if not 1 <= num_layers <= self.max_layers:
-            raise ValueError(
-                f"prefix length {num_layers} out of range "
-                f"[1, {self.max_layers}]"
-            )
-        width = num_layers * self.store.num_experts
-        queries = (
-            self._flat[:, :width]
-            / self._prefix_norms[:, num_layers - 1 : num_layers]
-        )
-        dots = queries @ self.store._maps_flat[: self.size, :width].T
-        scores = dots / self.store._prefix_norms[: self.size, num_layers - 1]
-        best = np.argmax(scores, axis=1)
-        return MatchResult(
-            indices=best,
-            scores=scores[np.arange(scores.shape[0]), best],
-        )
 
 
 class IncrementalTrajectoryMatch:

@@ -399,19 +399,6 @@ class FMoEPolicy(BasePolicy):
         assert self.scorer is not None
         return self.scorer.eviction_priority(expert, now)
 
-    def score_evictions(
-        self, flat: np.ndarray, now: float
-    ) -> np.ndarray | None:
-        """Batched eviction scores over flat expert indices.
-
-        Only the fMoE 1/(p·freq) algorithm has a dense array form; the
-        LRU/LFU ablations return None so the pool falls back to the
-        scalar :meth:`eviction_priority` loop.
-        """
-        if self.eviction_algorithm != "fmoe" or self.scorer is None:
-            return None
-        return self.scorer.score_evictions(flat, now)
-
     def eviction_score_matrix(self, now: float) -> np.ndarray | None:
         """Dense flat ``(L·J,)`` score matrix for the pool's victim sort."""
         if self.eviction_algorithm != "fmoe" or self.scorer is None:

@@ -5,11 +5,15 @@ from historical inference iterations, held in preallocated arrays so the
 matcher's batched cosine computations are single matrix products.
 
 Stored rows are pre-normalized at :meth:`ExpertMapStore.add` time: unit
-embeddings, float64-flattened maps, and cumulative per-prefix norms are
-maintained per slot, so every search is one matrix product against
-already-normalized (or norm-divided) rows — no per-query re-normalization
-of the stored side.  Insertion is O(L·J) per record; searches happen far
-more often than inserts, so the work moves to the cheap side.
+embeddings, float64-flattened maps, per-layer squared norms and one
+full-map norm are maintained per slot, so no search re-normalizes the
+stored side.  Insertion is O(L·J) per record; searches happen far more
+often than inserts, so the work moves to the cheap side.
+
+The store itself answers the semantic search (Eq. 4) and the redundancy
+score below.  The trajectory search (Eq. 5) lives in
+:class:`repro.core.matcher.IncrementalTrajectoryMatch`, which folds the
+cached per-layer rows and squared norms one layer at a time.
 
 When full, the store deduplicates: each incoming iteration computes the
 unified redundancy score against every stored record,
@@ -67,9 +71,9 @@ class ExpertMapStore:
             (capacity, num_layers, num_experts), dtype=np.float32
         )
         # Pre-normalized search-side rows, maintained per slot by add():
-        # unit-norm embeddings, float64 flattened maps, and cumulative
-        # prefix norms ||map[:l]|| for every prefix length l.  Zero norms
-        # are stored as 1.0 so divisions yield 0 similarity, matching the
+        # unit-norm embeddings, float64 flattened maps, and the full-map
+        # norm ||map|| the redundancy score divides by.  Zero norms are
+        # stored as 1.0 so divisions yield 0 similarity, matching the
         # cosine convention for zero rows.
         self._embeddings_unit = np.zeros(
             (capacity, embedding_dim), dtype=np.float64
@@ -77,7 +81,7 @@ class ExpertMapStore:
         self._maps_flat = np.zeros(
             (capacity, num_layers * num_experts), dtype=np.float64
         )
-        self._prefix_norms = np.ones((capacity, num_layers), dtype=np.float64)
+        self._full_norms = np.ones(capacity, dtype=np.float64)
         # Per-layer squared norms ||map[l]||² of every slot, cached at
         # insertion so incremental trajectory matchers can fold in one
         # layer without re-squaring the stored rows each time.
@@ -188,9 +192,11 @@ class ExpertMapStore:
         self._maps_flat[slot] = stored.reshape(-1)
         layer_sq = (stored**2).sum(axis=1)
         self._layer_sq[slot] = layer_sq
-        norms = np.sqrt(np.cumsum(layer_sq))
-        norms[norms == 0.0] = 1.0
-        self._prefix_norms[slot] = norms
+        # The last entry of the cumulative sum, not ``layer_sq.sum()``:
+        # numpy's pairwise summation can differ from the left-to-right
+        # fold by an ulp, which would move dedup choices.
+        norm = float(np.sqrt(np.cumsum(layer_sq)[-1]))
+        self._full_norms[slot] = norm if norm != 0.0 else 1.0
 
     def _most_redundant_slot(
         self, embedding: np.ndarray, expert_map: np.ndarray
@@ -210,25 +216,16 @@ class ExpertMapStore:
         flat_new = np.asarray(maps, dtype=np.float64).reshape(
             maps.shape[0], -1
         )
-        traj = self._prefix_dot(flat_new, self.num_layers)
+        norms = np.linalg.norm(flat_new, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        dots = (flat_new / norms) @ self._maps_flat[: self._size].T
+        traj = dots / self._full_norms[: self._size]
         d, total = self.prefetch_distance, self.num_layers
         return (d / total) * sem + ((total - d) / total) * traj
 
     # ------------------------------------------------------------------ #
-    # Affinity summaries (cluster routing)
+    # Affinity summary (cluster routing)
     # ------------------------------------------------------------------ #
-
-    def embedding_centroid(self) -> np.ndarray | None:
-        """Mean of the stored unit embeddings (``None`` when empty).
-
-        A cheap one-vector summary of the semantic region this store has
-        seen; cluster routers compare request embeddings against replica
-        centroids to steer similar prompts to replicas that already hold
-        their expert maps.
-        """
-        if self.is_empty:
-            return None
-        return self._embeddings_unit[: self._size].mean(axis=0)
 
     def best_semantic_score(self, embedding: np.ndarray) -> float:
         """Best cosine match of one query embedding against the store.
@@ -244,7 +241,7 @@ class ExpertMapStore:
         return float(scores[0].max())
 
     # ------------------------------------------------------------------ #
-    # Search primitives (Eqs. 4 and 5)
+    # Semantic search (Eq. 4)
     # ------------------------------------------------------------------ #
 
     def semantic_scores(self, embeddings: np.ndarray) -> np.ndarray:
@@ -260,47 +257,3 @@ class ExpertMapStore:
         norms = np.linalg.norm(queries, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         return (queries / norms) @ self._embeddings_unit[: self._size].T
-
-    def _prefix_dot(
-        self, flat_queries: np.ndarray, num_layers: int
-    ) -> np.ndarray:
-        """Cosine of normalized flat queries vs stored ``num_layers``-prefixes.
-
-        One sliced matrix product against the pre-flattened maps, divided
-        by the prefix norms cached at insertion time.
-        """
-        norms = np.linalg.norm(flat_queries, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        width = num_layers * self.num_experts
-        dots = (flat_queries / norms) @ self._maps_flat[: self._size, :width].T
-        return dots / self._prefix_norms[: self._size, num_layers - 1]
-
-    def trajectory_scores(
-        self, observed: np.ndarray, num_layers: int
-    ) -> np.ndarray:
-        """Cosine similarity of observed prefixes vs stored prefixes.
-
-        ``observed`` has shape ``(B, num_layers, J)`` — the gate
-        distributions of the layers revealed so far this iteration.
-        """
-        if self.is_empty:
-            raise ConfigError("cannot search an empty store")
-        if not 1 <= num_layers <= self.num_layers:
-            raise ConfigError(
-                f"prefix length {num_layers} out of range [1, {self.num_layers}]"
-            )
-        observed = np.asarray(observed)
-        if observed.ndim != 3 or observed.shape[1] < num_layers:
-            raise ConfigError(
-                "observed must be (B, >=num_layers, J); got "
-                f"{observed.shape}"
-            )
-        if observed.shape[2] != self.num_experts:
-            raise ValueError(
-                f"dimension mismatch: {observed.shape[2]} vs "
-                f"{self.num_experts}"
-            )
-        flat_new = np.asarray(
-            observed[:, :num_layers, :], dtype=np.float64
-        ).reshape(observed.shape[0], -1)
-        return self._prefix_dot(flat_new, num_layers)

@@ -93,6 +93,13 @@ def store_capacity_sensitivity(
         )
     )
     test = collect_history(world.fresh_model(), world.test_requests[:num_test])
+    # Trajectory scores are sampled at these layers' prefixes, skipping any
+    # within the prefetch distance of the last layer.
+    probes = [
+        layer
+        for layer in (4, 12, 20)
+        if layer < world.model_config.num_layers - 3
+    ]
     rows = []
     for capacity in capacities:
         store = build_store(
@@ -106,13 +113,14 @@ def store_capacity_sensitivity(
             assert sem is not None
             sem_scores.append(float(sem.scores[0]))
             for iteration_map in trace.iteration_maps:
-                query = matcher.trajectory_query(iteration_map[None, :, :])
-                for layer in (4, 12, 20):
-                    if layer >= world.model_config.num_layers - 3:
-                        continue
-                    result = query.match(layer + 1) if query else None
+                session = matcher.incremental_session(1)
+                for layer in range(probes[-1] + 1):
+                    result = session.observe_layer(
+                        iteration_map[layer][None, :]
+                    )
                     assert result is not None
-                    traj_scores.append(float(result.scores[0]))
+                    if layer in probes:
+                        traj_scores.append(float(result.scores[0]))
         rows.append(
             CapacityRow(
                 capacity=capacity,

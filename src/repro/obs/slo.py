@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.cluster.metrics import RequestOutcome
 from repro.cluster.observer import ClusterObserver
 from repro.errors import TelemetryError
 
@@ -396,17 +397,15 @@ def tracker_from_outcome_dicts(
     tracker = SLOTracker(
         objective=objective, deadline_seconds=deadline_seconds, rules=rules
     )
-    resolutions = []
-    for o in outcome_dicts:
-        if o.get("outcome") == "served":
-            when = o["arrival"] + (o.get("latency") or 0.0)
-            good = (o.get("latency") or 0.0) <= deadline_seconds
-        else:
-            when = o["arrival"]
-            good = False
-        resolutions.append((when, o.get("request_id", 0), good))
-    for when, _, good in sorted(resolutions):
-        tracker.observe(when, good)
+    tracker.observe_outcomes(
+        RequestOutcome(
+            request_id=o.get("request_id", 0),
+            arrival=o["arrival"],
+            outcome=o.get("outcome", ""),
+            latency=o.get("latency"),
+        )
+        for o in outcome_dicts
+    )
     return tracker
 
 

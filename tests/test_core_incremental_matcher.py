@@ -23,18 +23,40 @@ def loaded(rng):
     return ExpertMapMatcher(store), store
 
 
+def naive_prefix_cosine(query, stored, prefix):
+    """Cosine of flattened ``prefix``-layer trajectories, normalized per call."""
+    a = query[:, :prefix, :].reshape(query.shape[0], -1).astype(np.float64)
+    b = stored[:, :prefix, :].reshape(stored.shape[0], -1).astype(np.float64)
+    na = np.linalg.norm(a, axis=1, keepdims=True)
+    nb = np.linalg.norm(b, axis=1, keepdims=True)
+    na[na == 0.0] = 1.0
+    nb[nb == 0.0] = 1.0
+    return (a / na) @ (b / nb).T
+
+
 class TestEquivalence:
     def test_matches_full_recompute_layer_by_layer(self, loaded, rng):
-        """Incremental scores must equal the O(C·l·J) full computation."""
+        """Incremental scores must equal the O(C·l·J) full computation.
+
+        The reference refold is documented as bitwise identical; a naive
+        per-prefix cosine pins both to Eq. 5 itself.
+        """
         matcher, store = loaded
         query = softmax_rows(rng.standard_normal((2, 6, 4)))
         session = matcher.incremental_session(batch_size=2)
+        reference = matcher.reference_session(batch_size=2)
+        stored = store._maps[: len(store)]
         for layer in range(6):
             incremental = session.observe_layer(query[:, layer, :])
-            full = matcher.match_trajectory(query, layer + 1)
+            full = reference.observe_layer(query[:, layer, :])
             assert incremental is not None and full is not None
-            assert np.allclose(incremental.scores, full.scores, atol=1e-9)
+            assert np.array_equal(incremental.scores, full.scores)
             assert np.array_equal(incremental.indices, full.indices)
+            naive = naive_prefix_cosine(query, stored, layer + 1)
+            assert np.array_equal(incremental.indices, naive.argmax(axis=1))
+            assert np.allclose(
+                incremental.scores, naive.max(axis=1), rtol=0, atol=1e-9
+            )
 
     def test_exact_prefix_scores_one(self, loaded):
         matcher, store = loaded
@@ -95,8 +117,9 @@ class TestPerformance:
 
         start = time.perf_counter()
         for _ in range(5):
+            session = matcher.reference_session(1)
             for layer in range(24):
-                matcher.match_trajectory(query, layer + 1)
+                session.observe_layer(query[:, layer, :])
         full_time = time.perf_counter() - start
 
         assert incremental_time < full_time

@@ -44,8 +44,9 @@ class TestMatcher:
 
     def test_trajectory_match_exact(self, loaded_matcher):
         matcher, records = loaded_matcher
-        observed = records[7][1][None, :, :]
-        result = matcher.match_trajectory(observed, num_layers=3)
+        session = matcher.incremental_session(1)
+        for row in records[7][1][:3]:
+            result = session.observe_layer(row[None, :])
         assert result is not None
         assert int(result.indices[0]) == 7
 
@@ -59,7 +60,7 @@ class TestMatcher:
         store = ExpertMapStore(4, 6, 4, 8, 2)
         matcher = ExpertMapMatcher(store)
         assert matcher.match_semantic(np.ones((1, 8))) is None
-        assert matcher.match_trajectory(np.ones((1, 6, 4)), 2) is None
+        assert matcher.incremental_session(1).observe_layer(np.ones((1, 4))) is None
 
     def test_match_seconds_grows_with_store(self, loaded_matcher):
         matcher, _ = loaded_matcher
@@ -71,54 +72,6 @@ class TestMatcher:
         result = matcher.match_semantic(records[2][0][None, :])
         row = matcher.matched_row(result, 0, 3)
         assert np.allclose(row, records[2][1][3], atol=1e-6)
-
-
-class TestCachedTrajectoryQuery:
-    def test_matches_match_trajectory_at_every_prefix(
-        self, loaded_matcher, rng
-    ):
-        matcher, _ = loaded_matcher
-        observed = rng.random((3, 6, 4))
-        query = matcher.trajectory_query(observed)
-        assert query is not None
-        assert query.batch_size == 3
-        for prefix in range(1, query.max_layers + 1):
-            cached = query.match(prefix)
-            direct = matcher.match_trajectory(observed, prefix)
-            assert cached.indices.tolist() == direct.indices.tolist()
-            assert np.allclose(cached.scores, direct.scores, atol=1e-6)
-
-    def test_empty_store_returns_none(self):
-        matcher = ExpertMapMatcher(ExpertMapStore(4, 6, 4, 8, 2))
-        assert matcher.trajectory_query(np.ones((1, 6, 4))) is None
-
-    def test_prefix_bounds(self, loaded_matcher, rng):
-        matcher, _ = loaded_matcher
-        query = matcher.trajectory_query(rng.random((1, 6, 4)))
-        with pytest.raises(ValueError):
-            query.match(0)
-        with pytest.raises(ValueError):
-            query.match(7)
-
-    def test_expert_dimension_validated(self, loaded_matcher, rng):
-        matcher, _ = loaded_matcher
-        with pytest.raises(ValueError):
-            matcher.trajectory_query(rng.random((1, 6, 5)))
-
-    def test_snapshot_is_stable_across_adds(self, loaded_matcher, rng):
-        """Records added after the query is built don't shift its scores."""
-        matcher, _ = loaded_matcher
-        observed = rng.random((2, 6, 4))
-        query = matcher.trajectory_query(observed)
-        before = query.match(4)
-        emb = rng.standard_normal(8)
-        matcher.store.add(
-            emb / np.linalg.norm(emb),
-            softmax_rows(rng.standard_normal((6, 4))),
-        )
-        after = query.match(4)
-        assert before.indices.tolist() == after.indices.tolist()
-        assert np.array_equal(before.scores, after.scores)
 
 
 class TestSelectionThreshold:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.matcher import IncrementalTrajectoryMatch
 from repro.core.store import ExpertMapStore
 from repro.errors import ConfigError
 from repro.moe.gating import softmax_rows
@@ -92,31 +93,17 @@ class TestSearch:
         records = [random_record(rng) for _ in range(6)]
         for emb, m in records:
             store.add(emb, m)
-        observed = records[2][1][None, :, :]
-        scores = store.trajectory_scores(observed, num_layers=4)
-        assert int(np.argmax(scores[0])) == 2
+        session = IncrementalTrajectoryMatch(store, 1)
+        for row in records[2][1][:4]:
+            result = session.observe_layer(row[None, :])
+        assert int(result.indices[0]) == 2
 
     def test_search_empty_store_raises(self, rng):
         store = make_store()
         with pytest.raises(ConfigError):
             store.semantic_scores(rng.standard_normal((1, 8)))
-        with pytest.raises(ConfigError):
-            store.trajectory_scores(rng.standard_normal((1, 6, 4)), 2)
-
-    def test_trajectory_prefix_bounds(self, rng):
-        store = make_store()
-        store.add(*random_record(rng))
-        observed = rng.standard_normal((1, 6, 4))
-        with pytest.raises(ConfigError):
-            store.trajectory_scores(observed, 0)
-        with pytest.raises(ConfigError):
-            store.trajectory_scores(observed, 7)
-
-    def test_trajectory_observed_shape_check(self, rng):
-        store = make_store()
-        store.add(*random_record(rng))
-        with pytest.raises(ConfigError):
-            store.trajectory_scores(rng.standard_normal((1, 2, 4)), 3)
+        session = IncrementalTrajectoryMatch(store, 1)
+        assert session.observe_layer(rng.standard_normal((1, 4))) is None
 
 
 class TestDeduplication:
@@ -204,16 +191,15 @@ class TestVectorizedConsistency:
         store = self.filled(rng)
         observed = rng.random((3, 6, 4))
         stored = store._maps[: len(store)]
+        session = IncrementalTrajectoryMatch(store, 3)
         for prefix in range(1, 7):
             expected = naive_cosine(
                 observed[:, :prefix, :].reshape(3, -1),
                 stored[:, :prefix, :].reshape(len(store), -1),
             )
-            assert np.allclose(
-                store.trajectory_scores(observed, prefix),
-                expected,
-                atol=1e-6,
-            )
+            result = session.observe_layer(observed[:, prefix - 1, :])
+            assert result.indices.tolist() == expected.argmax(axis=1).tolist()
+            assert np.allclose(result.scores, expected.max(axis=1), atol=1e-6)
 
     def test_redundancy_matches_naive(self, rng):
         store = self.filled(rng)
@@ -244,10 +230,11 @@ class TestVectorizedConsistency:
             assert np.array_equal(
                 store._maps_flat[slot], stored.reshape(-1)
             )
-            assert np.allclose(
-                store._prefix_norms[slot],
-                np.sqrt(np.cumsum((stored**2).sum(axis=1))),
-                atol=1e-12,
+            assert np.array_equal(
+                store._layer_sq[slot], (stored**2).sum(axis=1)
+            )
+            assert store._full_norms[slot] == pytest.approx(
+                np.linalg.norm(stored), rel=1e-12
             )
         # The searches built on those rows agree with the reference too.
         queries = rng.standard_normal((2, 8))
@@ -260,12 +247,17 @@ class TestVectorizedConsistency:
     def test_zero_records_score_zero_without_nan(self, rng):
         store = make_store()
         store.add(np.zeros(8), np.zeros((6, 4)))
+        session = IncrementalTrajectoryMatch(store, 2)
+        for _ in range(3):
+            traj = session.observe_layer(rng.random((2, 4)))
+        assert traj.indices.tolist() == [0, 0]
+        assert np.all(traj.scores == 0.0)
         store.add(*random_record(rng))
+        zero_query = IncrementalTrajectoryMatch(store, 1)
+        assert zero_query.observe_layer(np.zeros((1, 4))).scores[0] == 0.0
         sem = store.semantic_scores(rng.standard_normal((2, 8)))
-        traj = store.trajectory_scores(rng.random((2, 6, 4)), 3)
-        assert np.isfinite(sem).all() and np.isfinite(traj).all()
+        assert np.isfinite(sem).all()
         assert np.all(sem[:, 0] == 0.0)
-        assert np.all(traj[:, 0] == 0.0)
 
 
 class TestMemoryFootprint:
