@@ -5,9 +5,14 @@ Per iteration the policy follows the paper's five steps:
 1. *Context collection* (synchronous, cheap): embeddings + observed
    trajectory views.
 2. *Expert map matching*: semantic search guides the first ``d`` layers at
-   iteration start; trajectory search fires after every revealed layer for
-   layer ``l + d``.  Matching is asynchronous — it delays when prefetch
-   instructions reach the PCIe queue but never blocks compute.
+   iteration start; trajectory search over the prefix ``0..l`` picks the
+   map whose row guides layer ``l + d``.  The columnar core plans every
+   trajectory-guided layer of the iteration at its start (one fold of
+   layers ``0..L−d−1``, one batched selection) and hands out layer ``l``'s
+   entry at its gate output; entry ``l`` reads only rows ``0..l``, so the
+   plan acts exactly as a per-layer search would.  Matching is
+   asynchronous — it delays when prefetch instructions reach the PCIe
+   queue but never blocks compute.
 3. *Guided prefetching*: similarity-aware thresholds δ = clip(1 − score)
    choose how many experts to hedge with; issue order follows
    PRI = p / (l − l_now).
@@ -24,17 +29,13 @@ prefetches a fixed top-K), and the full design.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.baselines.base import BasePolicy, LFUTracker, LRUTracker
 from repro.core.cache import FMoECacheScorer
-from repro.core.matcher import (
-    ExpertMapMatcher,
-    IncrementalTrajectoryMatch,
-    ReferenceTrajectoryMatch,
-)
+from repro.core.matcher import ExpertMapMatcher, ReferenceTrajectoryMatch
 from repro.core.overheads import OverheadModel
 from repro.core.prefetch import (
     prefetch_priority,
@@ -50,6 +51,27 @@ from repro.serving.engine import (
     PrefetchInstruction,
 )
 from repro.types import ExpertId
+
+
+class TrajectoryPlan(NamedTuple):
+    """One iteration's trajectory-guided prefetches, entry ``l`` per
+    planned layer ``l`` (targeting layer ``l + d``).
+
+    Entry ``l`` depends on gate rows ``0..l`` only.
+    """
+
+    predictions: np.ndarray
+    """``(L−d, J)`` float32: the batch maximum of the matched rows, the
+    scorer's prediction row for the target layer."""
+
+    scores: np.ndarray
+    """``(L−d, B)``: best trajectory-match score per batch position."""
+
+    ids: list[np.ndarray]
+    """Per-layer flat expert ids ``target · J + j`` (int64)."""
+
+    priorities: list[np.ndarray]
+    """Per-layer prefetch priorities ``p / d`` (float64)."""
 
 
 class FMoEPolicy(BasePolicy):
@@ -103,9 +125,10 @@ class FMoEPolicy(BasePolicy):
         self.store: ExpertMapStore | None = None
         self.matcher: ExpertMapMatcher | None = None
         self.scorer: FMoECacheScorer | None = None
-        self._trajectory_session: (
-            IncrementalTrajectoryMatch | ReferenceTrajectoryMatch | None
-        ) = None
+        self._trajectory_session: ReferenceTrajectoryMatch | None = None
+        """The scalar core's per-layer search of the current iteration."""
+        self._plan: TrajectoryPlan | None = None
+        """The columnar core's plan of the current iteration."""
         self._columnar = False
         self.semantic_score_log: list[float] = []
         self.trajectory_score_log: list[float] = []
@@ -204,16 +227,16 @@ class FMoEPolicy(BasePolicy):
         scores: np.ndarray,
         targets: np.ndarray,
         gaps: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar :meth:`_instructions_for_layer` over N selection lanes.
 
         ``rows32`` is ``(N, J)`` float32 map rows in emission order,
         ``scores``/``targets``/``gaps`` the per-lane match score, target
         layer, and layer gap ``l − l_now``.  Returns (flat ids,
-        priorities): the same experts, in the same lane-major order, with
-        the same ``p / gap`` priorities the scalar path would emit — one
-        argsort/cumsum pass instead of one Python call per lane and one
-        ``PrefetchInstruction`` per expert.
+        priorities, per-lane counts): the same experts, in the same
+        lane-major order, with the same ``p / gap`` priorities the scalar
+        path would emit — one argsort/cumsum pass instead of one Python
+        call per lane and one ``PrefetchInstruction`` per expert.
         """
         rows = rows32.astype(np.float64)
         width = rows.shape[1]
@@ -233,7 +256,51 @@ class FMoEPolicy(BasePolicy):
         lanes = np.repeat(np.arange(rows.shape[0]), counts)
         flat = targets[lanes] * width + selected
         priorities = rows[lanes, selected] / gaps[lanes]
-        return flat.astype(np.int64), priorities
+        return flat.astype(np.int64), priorities, counts
+
+    def trajectory_plan(self, rows: np.ndarray) -> TrajectoryPlan | None:
+        """Plan one iteration's trajectory-guided prefetches.
+
+        ``rows`` is the iteration's ``(B, L, J)`` gate output
+        (:meth:`IterationContext.iteration_rows`).  Layers ``0..L−d−1``
+        fold through one :class:`IncrementalTrajectoryMatch` session, so
+        entry ``l`` is the Eq. 5 match over prefix ``0..l`` — the search a
+        per-layer hook would run at layer ``l``; layers whose target
+        ``l + d`` lies past the last layer are not searched.  The matched
+        target rows of all ``(L−d)·B`` lanes (layer-major, then batch
+        position) go through one selection pass, then split per layer.
+        None when nothing is planned (an empty store, or ``d >= L``).
+        """
+        assert self.store is not None and self.matcher is not None
+        num_layers = self.config.num_layers
+        distance = self.prefetch_distance
+        planned = num_layers - distance
+        if planned <= 0 or self.store.is_empty:
+            return None
+        batch = rows.shape[0]
+        session = self.matcher.incremental_session(batch)
+        indices = np.empty((planned, batch), dtype=np.intp)
+        scores = np.empty((planned, batch))
+        for layer in range(planned):
+            result = session.observe_layer(rows[:, layer, :])
+            indices[layer] = result.indices
+            scores[layer] = result.scores
+        targets = np.arange(distance, num_layers)
+        matched = self.store.gather_rows(indices, targets[:, None])
+        ids, priorities, counts = self._prefetch_block_for_lanes(
+            matched.reshape(planned * batch, -1),
+            scores.reshape(-1),
+            np.repeat(targets, batch),
+            np.full(planned * batch, distance, dtype=np.int64),
+        )
+        ends = np.cumsum(counts.reshape(planned, batch).sum(axis=1)).tolist()
+        spans = list(zip([0, *ends], ends))
+        return TrajectoryPlan(
+            predictions=matched.max(axis=1),
+            scores=scores,
+            ids=[ids[a:b] for a, b in spans],
+            priorities=[priorities[a:b] for a, b in spans],
+        )
 
     # ------------------------------------------------------------------ #
     # Engine hooks
@@ -243,22 +310,21 @@ class FMoEPolicy(BasePolicy):
         assert self.store is not None and self.matcher is not None
         assert self.scorer is not None
         self.scorer.reset_predictions()
-        # One trajectory match per iteration.  The columnar core streams it
-        # (each layer's gate output folds in incrementally, O(C·J) per
-        # layer); the scalar reference core re-matches the full prefix from
-        # scratch every layer — the naive Eq. 5 interpreter the parity
-        # suite compares against, bitwise identical by construction.
+        # One trajectory match per iteration.  The columnar core plans it
+        # here (the store is fixed until on_iteration_end and the routing
+        # is already sampled); the scalar reference core re-matches the
+        # full prefix from scratch at every layer — the naive Eq. 5
+        # interpreter the parity suite compares against, bitwise identical
+        # by construction.
+        self._plan = None
+        self._trajectory_session = None
         if self.use_trajectory and not self.store.is_empty:
             if self._columnar:
-                self._trajectory_session = self.matcher.incremental_session(
-                    ctx.batch_size
-                )
+                self._plan = self.trajectory_plan(ctx.iteration_rows())
             else:
                 self._trajectory_session = self.matcher.reference_session(
                     ctx.batch_size
                 )
-        else:
-            self._trajectory_session = None
         action = PolicyAction(
             sync_overheads={
                 "context_collect": self.overheads.context_collect_seconds
@@ -288,12 +354,13 @@ class FMoEPolicy(BasePolicy):
                 self.scorer.update_prediction_row(layer, merged[layer])
             lanes = matched.reshape(-1, self.config.experts_per_layer)
             layers = np.tile(np.arange(horizon), ctx.batch_size)
-            action.prefetch_block = self._prefetch_block_for_lanes(
+            ids, priorities, _ = self._prefetch_block_for_lanes(
                 lanes,
                 np.repeat(result.scores, horizon),
                 layers,
                 layers + 1,
             )
+            action.prefetch_block = (ids, priorities)
             action.async_overheads = {
                 "map_match": self.matcher.match_seconds()
             }
@@ -321,44 +388,26 @@ class FMoEPolicy(BasePolicy):
             self.scorer.mark_layer_done(layer - 1)
         if not self.use_trajectory:
             return PolicyAction()
+        target = layer + self.prefetch_distance
+        plan = self._plan
+        if plan is not None:
+            if target >= self.config.num_layers:
+                return PolicyAction()
+            self.scorer.update_prediction_row(target, plan.predictions[layer])
+            self.trajectory_score_log.extend(
+                float(s) for s in plan.scores[layer]
+            )
+            return PolicyAction(
+                prefetch_block=(plan.ids[layer], plan.priorities[layer]),
+                async_overheads={"map_match": self.matcher.match_seconds()},
+            )
         session = self._trajectory_session
         if session is None:
             return PolicyAction()
         result = session.observe_layer(ctx.observed[:, layer, :])
-        target = layer + self.prefetch_distance
         if result is None or target >= self.config.num_layers:
             return PolicyAction()
         self.trajectory_score_log.extend(float(s) for s in result.scores)
-        if self._columnar:
-            if ctx.batch_size == 1:
-                # Unbatched iterations skip the gather: one matched row,
-                # one selection, flat ids built in place.
-                row32 = self.matcher.matched_row(result, 0, target)
-                self.scorer.update_prediction_row(target, row32)
-                row = row32.astype(np.float64)
-                selected = self._select(row, float(result.scores[0]))
-                flat = target * self.config.experts_per_layer + selected
-                return PolicyAction(
-                    prefetch_block=(
-                        flat.astype(np.int64),
-                        row[selected] / (target - layer),
-                    ),
-                    async_overheads={
-                        "map_match": self.matcher.match_seconds()
-                    },
-                )
-            rows = self.store.gather_rows(result.indices, target)
-            self.scorer.update_prediction_row(target, rows.max(axis=0))
-            shape = np.full(ctx.batch_size, target, dtype=np.int64)
-            return PolicyAction(
-                prefetch_block=self._prefetch_block_for_lanes(
-                    rows,
-                    result.scores,
-                    shape,
-                    shape - layer,
-                ),
-                async_overheads={"map_match": self.matcher.match_seconds()},
-            )
         instructions: list[PrefetchInstruction] = []
         for b in range(ctx.batch_size):
             score = float(result.scores[b])
@@ -387,8 +436,11 @@ class FMoEPolicy(BasePolicy):
     def on_expert_served(self, expert: ExpertId, hit: bool, now: float) -> None:
         assert self.scorer is not None
         self.scorer.touch(expert)
-        self._lru.touch(expert, now)
-        self._lfu.touch(expert, now)
+        # Only the configured lru/lfu ablation ever reads its tracker.
+        if self.eviction_algorithm == "lru":
+            self._lru.touch(expert, now)
+        elif self.eviction_algorithm == "lfu":
+            self._lfu.touch(expert, now)
 
     def eviction_priority(self, expert: ExpertId, now: float) -> float:
         """Dispatch on the configured cache algorithm (Fig. 12b ablation)."""

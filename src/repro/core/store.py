@@ -133,8 +133,13 @@ class ExpertMapStore:
             raise ConfigError("record index out of range")
         return self._maps[indices]
 
-    def gather_rows(self, indices: np.ndarray, layer: int) -> np.ndarray:
-        """One map layer for a batch of slots: ``(B, J)`` float32 copy."""
+    def gather_rows(
+        self, indices: np.ndarray, layer: int | np.ndarray
+    ) -> np.ndarray:
+        """Map rows for a batch of slots: ``(B, J)`` float32 copy of one
+        layer, or, with an integer array ``layer`` that broadcasts against
+        ``indices``, row ``layer[i]`` of slot ``indices[i]``:
+        ``(*shape, J)``."""
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size and (
             indices.min() < 0 or indices.max() >= self._size

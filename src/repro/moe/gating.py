@@ -44,11 +44,20 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def top_k_indices(row: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest entries of ``row``, sorted ascending."""
-    if k >= row.shape[-1]:
-        return np.arange(row.shape[-1])
-    part = np.argpartition(row, -k)[-k:]
-    return np.sort(part)
+    """Indices of the ``k`` largest entries along the last axis, sorted
+    ascending.
+
+    ``row`` may be one row ``(J,)`` or any stack of rows (``(L, J)``,
+    ``(draws, L, J)``); the result has the same leading shape with last
+    axis ``min(k, J)``.  One ``argpartition`` plus one ``sort`` over the
+    stack selects, row for row, exactly what a call per row selects: both
+    run the same per-row algorithm along the last axis.
+    """
+    width = row.shape[-1]
+    if k >= width:
+        return np.broadcast_to(np.arange(width), row.shape).copy()
+    part = np.argpartition(row, -k, axis=-1)[..., -k:]
+    return np.sort(part, axis=-1)
 
 
 class PhaseProcess:
@@ -266,10 +275,7 @@ class SyntheticGate:
         """One decode iteration: one token's routing through all layers."""
         logits = self._noisy_logits(cluster, phase, rng, prompt_bias)
         dist = softmax_rows(logits)
-        activated = tuple(
-            top_k_indices(dist[layer], self.config.top_k)
-            for layer in range(self.config.num_layers)
-        )
+        activated = tuple(top_k_indices(dist, self.config.top_k))
         return SampledIteration(dist, activated, logits)
 
     def sample_prefill(
@@ -302,15 +308,14 @@ class SyntheticGate:
         dists = softmax_rows(per_token)
         mean_dist = dists.mean(axis=0)
         mean_logits = per_token.mean(axis=0)
-        activated = []
-        for layer in range(self.config.num_layers):
-            chosen: set[int] = set()
-            for t in range(draws):
-                chosen.update(
-                    top_k_indices(dists[t, layer], self.config.top_k).tolist()
-                )
-            activated.append(np.array(sorted(chosen), dtype=np.int64))
-        return SampledIteration(mean_dist, tuple(activated), mean_logits)
+        # Every draw's top-K at once; a layer's union is the set bits of
+        # its row of the (L, J) mask, which flatnonzero reads back sorted
+        # and unique.
+        chosen = top_k_indices(dists, self.config.top_k)
+        mask = np.zeros(arch.shape, dtype=bool)
+        mask[np.arange(arch.shape[0])[None, :, None], chosen] = True
+        activated = tuple(np.flatnonzero(row) for row in mask)
+        return SampledIteration(mean_dist, activated, mean_logits)
 
     def speculate(
         self,

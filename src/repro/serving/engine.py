@@ -11,9 +11,13 @@ Walks every inference iteration layer by layer on a virtual clock, charging:
 Policies receive hooks at exactly the points the paper's runtime exposes:
 once before each iteration (semantic context is available), once after each
 layer's gate output (the trajectory grows by one layer), and once after the
-iteration completes (map update).  Policies never see future gate outputs;
-baselines that model hidden-state speculation go through the bounded-noise
-:meth:`IterationContext.speculate` oracle.
+iteration completes (map update).  Policies never act on future gate
+outputs: a policy may plan the whole iteration at its start through
+:meth:`IterationContext.iteration_rows`, but the plan's entry for layer
+``l`` may read only layers ``0..l`` of it, and the entry is applied when
+layer ``l``'s gate output is revealed.  Baselines that model hidden-state
+speculation go through the bounded-noise :meth:`IterationContext.speculate`
+oracle.
 """
 
 from __future__ import annotations
@@ -105,6 +109,19 @@ class IterationContext:
         for b, routing in enumerate(self._routings):
             self.observed[b, layer] = routing.distributions[layer]
         self.observed_layers = layer + 1
+
+    def iteration_rows(self) -> np.ndarray:
+        """Every layer's gate rows of this iteration: ``(B, L, J)`` float64.
+
+        The routing is sampled before layer 0 runs, so a policy can plan
+        the iteration in one call.  The plan rule: whatever the policy
+        does at layer ``l``'s gate output may depend on rows ``0..l``
+        only — exactly what :attr:`observed` holds by then — so acting on
+        the plan is indistinguishable from acting on the revealed view.
+        The array has the layout of :attr:`observed`, so arithmetic over
+        its slices lands on the same bits.
+        """
+        return np.stack([r.distributions for r in self._routings])
 
     def activated_at(self, layer: int) -> list[np.ndarray]:
         """Per-request activated expert indices for a revealed layer."""
@@ -549,8 +566,13 @@ class ServingEngine:
         The nearest ready resident expert of the same layer stands in (the
         SMoE-style fallback); when none is resident the activation is
         served by the always-on shared path.  Either way the token is
-        counted as degraded and no transfer is waited on.
+        counted as degraded and no transfer is waited on.  The substitute
+        is only named in the ``DEGRADED_SERVE`` event, so the search is
+        skipped when nothing subscribes.
         """
+        report.degraded_tokens += 1
+        if not self.observers:
+            return
         candidates = [
             e
             for e in self.pool.resident_experts()
@@ -562,7 +584,6 @@ class ServingEngine:
                 candidates,
                 key=lambda e: (abs(e.expert - expert.expert), e.expert),
             )
-        report.degraded_tokens += 1
         self._emit(
             EventKind.DEGRADED_SERVE,
             layer=layer,
@@ -655,12 +676,13 @@ class ServingEngine:
         self._emit(EventKind.ITERATION_START, detail=float(len(active)))
         self._apply(self.policy.on_iteration_start(ctx), breakdown)
 
+        layer_base_seconds = self._mixed_layer_base_seconds(
+            prefill_tokens, has_decode
+        )
         for layer in range(self.config.num_layers):
             for observer in observers:
                 observer.layer_begin(layer, self._now)
-            base_seconds = self._mixed_layer_base_seconds(
-                prefill_tokens, has_decode
-            )
+            base_seconds = layer_base_seconds
             if self.faults is not None:
                 # A straggler GPU gates the whole (model-parallel) layer.
                 base_seconds *= self.faults.compute_multiplier(self._now)

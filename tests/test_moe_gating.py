@@ -234,3 +234,78 @@ class TestPromptBias:
         gate = SyntheticGate(tiny_config, seed=0)
         with pytest.raises(ConfigError):
             gate.prompt_bias(np.zeros(3))
+
+
+def _row_top_k(row: np.ndarray, k: int) -> np.ndarray:
+    """Test-local per-row top-K: the one-row-at-a-time selection."""
+    if k >= row.shape[0]:
+        return np.arange(row.shape[0])
+    return np.sort(np.argpartition(row, -k)[-k:])
+
+
+def _default_gates(top_k_full: bool):
+    import dataclasses
+
+    from repro.moe.config import get_model_config
+
+    for name in ("mixtral-8x7b", "qwen1.5-moe"):
+        config = get_model_config(name)
+        if top_k_full:
+            config = dataclasses.replace(
+                config, top_k=config.experts_per_layer
+            )
+        yield SyntheticGate(config, seed=3)
+
+
+class TestWholeIterationSampling:
+    """Stacked top-K selection equals one selection per row."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 11])
+    def test_stacked_top_k_equals_per_row(self, rng, k):
+        stack = rng.random((3, 5, 8))
+        got = top_k_indices(stack, k)
+        assert got.shape == (3, 5, min(k, 8))
+        for index in np.ndindex(3, 5):
+            assert np.array_equal(got[index], _row_top_k(stack[index], k))
+
+    @pytest.mark.parametrize("top_k_full", [False, True])
+    def test_decode_equals_per_layer_reference(self, top_k_full):
+        for gate in _default_gates(top_k_full):
+            rng = np.random.default_rng(17)
+            for step in range(6):
+                sample = gate.sample_decode(step % 3, 0, rng)
+                k = gate.config.top_k
+                assert len(sample.activated) == gate.config.num_layers
+                for row, got in zip(sample.distributions, sample.activated):
+                    want = _row_top_k(row, k)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("top_k_full", [False, True])
+    def test_prefill_equals_per_token_union(self, top_k_full):
+        import copy
+
+        for gate in _default_gates(top_k_full):
+            config = gate.config
+            rng = np.random.default_rng(29)
+            for num_tokens in (1, 5, 300):
+                replay = copy.deepcopy(rng)
+                sample = gate.sample_prefill(1, 0, num_tokens, rng)
+                # Replay the same draws to get the per-token routing.
+                draws = min(num_tokens, MAX_PREFILL_TOKEN_DRAWS)
+                arch = gate.archetype_logits(1, 0)
+                scale = config.routing.iteration_noise * gate._width_factor()
+                per_token = gate._logit_gain() * (
+                    arch[None] + replay.gumbel(0.0, scale, (draws, *arch.shape))
+                )
+                dists = softmax_rows(per_token)
+                assert np.array_equal(sample.distributions, dists.mean(axis=0))
+                for layer, got in enumerate(sample.activated):
+                    chosen: set[int] = set()
+                    for t in range(draws):
+                        chosen.update(
+                            _row_top_k(dists[t, layer], config.top_k).tolist()
+                        )
+                    want = np.array(sorted(chosen), dtype=np.int64)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)

@@ -49,3 +49,25 @@ def test_no_compiled_bytecode_is_git_tracked():
     assert not offenders, "compiled bytecode is tracked: " + ", ".join(
         offenders
     )
+
+
+def test_perf_trajectory_rows_carry_both_sides():
+    """``BENCH_perf.json`` is the committed perf trajectory: every row is
+    a same-host parent/change pair keyed by both revisions, and every
+    measurement in it has both sides."""
+    import json
+
+    rows = json.loads((REPO_ROOT / "BENCH_perf.json").read_text())["rows"]
+    assert rows
+    for row in rows:
+        assert row["parent_rev"] and row["change_rev"], row.get("change")
+        assert row["host"]["nproc"] >= 1
+        for section in ("untraced", "traced", "report_sha256"):
+            assert row[section], section
+            for workload, sides in row[section].items():
+                assert set(sides) >= {"parent", "change"}, (section, workload)
+        for workload, sides in row["untraced"].items():
+            for side in ("parent", "change"):
+                last = sides[side]
+                assert last["correct"] is True, (workload, side)
+                assert "sim_req_per_s" in last["metrics"], (workload, side)

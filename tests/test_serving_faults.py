@@ -421,6 +421,89 @@ class TestEngineFaults:
 # --------------------------------------------------------------------- #
 
 
+class _SubstituteAudit(EventRecorder):
+    """Records events and, at each DEGRADED_SERVE, the substitute the
+    rung-2 rule names: the nearest ready resident of the same layer."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+        self.expected: list[float] = []
+
+    def emit(self, event):
+        super().emit(event)
+        if event.kind is not EventKind.DEGRADED_SERVE:
+            return
+        pool = self.engine.pool
+        ready = [
+            e
+            for e in pool.resident_experts()
+            if e.layer == event.layer and pool.is_ready(e, event.time)
+        ]
+        nearest = min(
+            ready,
+            key=lambda e: (abs(e.expert - event.expert.expert), e.expert),
+            default=None,
+        )
+        self.expected.append(-1.0 if nearest is None else float(nearest.expert))
+
+
+class TestForcedSubstitution:
+    def _run(self, config, hardware, subscribe: bool):
+        from repro.core.policy import FMoEPolicy
+        from repro.workloads.profiler import collect_history
+
+        model = MoEModel(config, seed=0)
+        policy = FMoEPolicy(prefetch_distance=1)
+        engine = ServingEngine(
+            model,
+            policy,
+            cache_budget_bytes=6 * config.expert_bytes,
+            hardware=hardware,
+        )
+        policy.warm(
+            collect_history(
+                model,
+                [Request(50 + i, i % 4, 8, 6, seed=i) for i in range(8)],
+            )
+        )
+        engine.force_substitution = True
+        audit = None
+        if subscribe:
+            audit = _SubstituteAudit(engine)
+            engine.subscribe(audit)
+        else:
+
+            def no_search():
+                raise AssertionError("substitute searched with no subscriber")
+
+            engine.pool.resident_experts = no_search
+        requests = [Request(i, i % 4, 8, 12, seed=100 + i) for i in range(4)]
+        return engine.run(requests), audit
+
+    def test_subscriber_changes_no_byte_and_names_substitutes(
+        self, config
+    ):
+        """The substitute search runs only for subscribers: reports are
+        byte-identical with and without one, and the subscribed run's
+        DEGRADED_SERVE details name the nearest ready resident."""
+        hardware = HardwareConfig(
+            num_gpus=2,
+            gpu_memory_bytes=10**9,
+            pcie_bandwidth_bps=1e9,
+            framework_layer_overhead_seconds=1e-3,
+        )
+        bare, _ = self._run(config, hardware, subscribe=False)
+        watched, audit = self._run(config, hardware, subscribe=True)
+        assert report_to_json(bare) == report_to_json(watched)
+        details = [
+            e.detail for e in audit.of_kind(EventKind.DEGRADED_SERVE)
+        ]
+        assert len(details) == bare.degraded_tokens > 0
+        assert details == audit.expected
+        assert any(d >= 0 for d in details)
+
+
 class TestReportPlumbing:
     def test_absorb_merges_fault_counters(self, config, hardware):
         cfg = FaultConfig(transfer_failure_prob=1.0)
