@@ -769,7 +769,6 @@ class ServingEngine:
         hits_at_gate: dict[ExpertId, bool],
     ) -> None:
         experts = list(hits_at_gate)
-        self.pool.protected = set(experts)
         expert_seconds = self._mixed_expert_seconds(
             prefill_tokens, has_decode, len(experts)
         )

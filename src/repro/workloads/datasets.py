@@ -166,13 +166,23 @@ def make_dataset(
         profile.output_max,
         size,
     )
+    # One routing-seed call: the same values and generator state as
+    # ``size`` scalar ``integers(2**31)`` draws.
+    seeds = rng.integers(2**31, size=size)
     return [
         Request(
             request_id=start_id + i,
-            cluster=int(clusters[i]),
-            input_tokens=int(inputs[i]),
-            output_tokens=int(outputs[i]),
-            seed=int(rng.integers(2**31)),
+            cluster=cluster,
+            input_tokens=input_tokens,
+            output_tokens=output_tokens,
+            seed=seed,
         )
-        for i in range(size)
+        for i, (cluster, input_tokens, output_tokens, seed) in enumerate(
+            zip(
+                clusters.tolist(),
+                inputs.tolist(),
+                outputs.tolist(),
+                seeds.tolist(),
+            )
+        )
     ]

@@ -15,20 +15,29 @@ composes that traffic:
   arrival-ordered request stream.  Generation is blocked at a fixed
   internal granularity (:data:`BLOCK_REQUESTS`), so memory stays
   O(tenants x block) no matter how long the day is — a 1M-request day
-  never materializes in RAM.
+  never materializes in RAM.  Each tenant yields ``(arrival_time,
+  request_id, request)`` rows, so the merge orders by that key with plain
+  tuple comparison (ids are unique across tenants, so a comparison never
+  reaches the request itself).
 - :func:`traffic_census` folds a stream into bounded-memory per-tenant /
   per-tier offered-load statistics.
 
-Parity contract: a single tenant with a flat rate curve (and at most one
-generation block of requests) reproduces :func:`make_azure_trace`'s RNG
-call sequence exactly, so the degenerate storm config is byte-identical
-to the legacy Azure path (pinned by ``tests/test_property_traffic.py``).
+Parity contract: every block draws its clusters, input lengths, output
+lengths and then all of its routing seeds (one ``integers(2**31,
+size=block)`` call, the same values and generator state as ``block``
+scalar draws) from the dataset stream, and its gaps from the gap stream —
+the order :func:`~repro.workloads.datasets.make_dataset` and
+:func:`make_azure_trace` use for a whole trace.  So a single tenant with a
+flat rate curve and at most one block of requests is byte-identical to
+the legacy Azure path (pinned by ``tests/test_property_traffic.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -182,21 +191,10 @@ class TrafficConfig:
         return sum(t.num_requests for t in self.tenants[:index])
 
 
-def tenant_arrivals(
-    spec: TenantSpec,
-    *,
-    seed: int = 0,
-    start_id: int = 0,
-    day_seconds: float = DAY_SECONDS,
-) -> Iterator[Request]:
-    """Lazily generate one tenant's day, sorted by arrival time.
-
-    Draws happen in fixed blocks of :data:`BLOCK_REQUESTS`; within a block
-    the RNG call sequence replicates :func:`make_azure_trace` exactly (one
-    dataset stream seeded ``seed + 1``, one gap stream seeded ``seed``),
-    so a flat-curve tenant of at most one block is byte-identical to the
-    legacy generator.
-    """
+def _tenant_rows(
+    spec: TenantSpec, seed: int, start_id: int, day_seconds: float
+) -> Iterator[tuple[float, int, Request]]:
+    """One tenant's day as ``(arrival_time, request_id, request)`` rows."""
     spec.validate()
     profile: DatasetProfile = get_dataset_profile(spec.dataset)
     gap_rng = np.random.default_rng(seed)
@@ -205,6 +203,13 @@ def tenant_arrivals(
     weights = profile.cluster_weights()
     shape = 1.0 / spec.burstiness_cv**2
     scale = spec.mean_interarrival_seconds / shape
+    priority, name, tier = spec.priority, spec.name, spec.tier
+    start_time = float(spec.start_time)
+    # The rate-curve lookup of TenantSpec.rate_multiplier, inlined (a
+    # one-phase curve always reads index 0, as its flat case does).
+    curve = spec.rate_curve
+    phases = len(curve)
+    last_phase = phases - 1
 
     # Arrival arithmetic mirrors make_azure_trace bit for bit in the flat
     # case: a running sum over *all* gaps (including the first) with the
@@ -212,13 +217,13 @@ def tenant_arrivals(
     # equivalent of ``cumsum(gaps); arrivals -= arrivals[0]``.
     running = 0.0
     base = 0.0
-    prev_arrival = spec.start_time
-    produced = 0
-    first = True
-    while produced < spec.num_requests:
-        block = min(BLOCK_REQUESTS, spec.num_requests - produced)
+    arrival = start_time  # the previous arrival picks the rate phase
+    request_id = start_id
+    remaining = spec.num_requests
+    while remaining:
+        block = min(BLOCK_REQUESTS, remaining)
         # Same per-block call order as make_dataset: clusters, input
-        # lengths, output lengths, then one routing seed per request.
+        # lengths, output lengths, then the block's routing seeds.
         block_clusters = dataset_rng.choice(clusters, size=block, p=weights)
         block_inputs = _bounded_lognormal(
             dataset_rng,
@@ -236,28 +241,59 @@ def tenant_arrivals(
             profile.output_max,
             block,
         )
-        block_seeds = [int(dataset_rng.integers(2**31)) for _ in range(block)]
-        gaps = gap_rng.gamma(shape, scale, size=block)
-        for i in range(block):
-            multiplier = spec.rate_multiplier(prev_arrival, day_seconds)
-            running += float(gaps[i]) / multiplier
-            if first:
-                base = running
-                first = False
-            arrival = float(spec.start_time + (running - base))
-            prev_arrival = arrival
-            yield Request(
-                request_id=start_id + produced + i,
-                cluster=int(block_clusters[i]),
-                input_tokens=int(block_inputs[i]),
-                output_tokens=int(block_outputs[i]),
+        block_seeds = dataset_rng.integers(2**31, size=block)
+        gaps = gap_rng.gamma(shape, scale, size=block).tolist()
+        if request_id == start_id:
+            # The first warped gap: every arrival is measured from it.
+            base = gaps[0] / spec.rate_multiplier(start_time, day_seconds)
+        for cluster, input_tokens, output_tokens, request_seed, gap in zip(
+            block_clusters.tolist(),
+            block_inputs.tolist(),
+            block_outputs.tolist(),
+            block_seeds.tolist(),
+            gaps,
+        ):
+            phase = (arrival % day_seconds) / day_seconds
+            index = int(phase * phases)
+            running += gap / curve[index if index < phases else last_phase]
+            arrival = start_time + (running - base)
+            yield arrival, request_id, Request(
+                request_id=request_id,
+                cluster=cluster,
+                input_tokens=input_tokens,
+                output_tokens=output_tokens,
                 arrival_time=arrival,
-                seed=block_seeds[i],
-                priority=spec.priority,
-                tenant=spec.name,
-                tier=spec.tier,
+                seed=request_seed,
+                priority=priority,
+                tenant=name,
+                tier=tier,
             )
-        produced += block
+            request_id += 1
+        remaining -= block
+
+
+_request_of = itemgetter(2)
+
+
+def tenant_arrivals(
+    spec: TenantSpec,
+    *,
+    seed: int = 0,
+    start_id: int = 0,
+    day_seconds: float = DAY_SECONDS,
+) -> Iterator[Request]:
+    """Lazily generate one tenant's day, sorted by arrival time.
+
+    Draws happen in fixed blocks of :data:`BLOCK_REQUESTS` from one
+    dataset stream seeded ``seed + 1`` and one gap stream seeded ``seed``.
+    Each block draws its routing seeds in one call after its lengths,
+    which is :func:`make_azure_trace`'s call sequence for a trace of at
+    most one block, so a flat-curve tenant of that size is byte-identical
+    to the legacy generator.  These are the requests of the
+    ``(arrival_time, request_id, request)`` rows that
+    :func:`stream_traffic` merges by that key.
+    """
+    return map(_request_of, _tenant_rows(spec, seed, start_id, day_seconds))
 
 
 def _arrival_key(request: Request) -> tuple[float, int]:
@@ -267,20 +303,22 @@ def _arrival_key(request: Request) -> tuple[float, int]:
 def stream_traffic(config: TrafficConfig) -> Iterator[Request]:
     """Heap-merge every tenant's lazy stream into one arrival-ordered day.
 
-    Memory is O(tenants x BLOCK_REQUESTS): the merge holds one pending
-    request per tenant and each generator holds one draw block.
+    The merge compares ``(arrival_time, request_id)`` rows, so ties on
+    arrival time break by request id.  Memory is O(tenants x
+    BLOCK_REQUESTS): the merge holds one pending row per tenant and each
+    generator holds one draw block.
     """
     config.validate()
     streams = [
-        tenant_arrivals(
+        _tenant_rows(
             tenant,
-            seed=config.tenant_seed(index),
-            start_id=config.tenant_start_id(index),
-            day_seconds=config.day_seconds,
+            config.tenant_seed(index),
+            config.tenant_start_id(index),
+            config.day_seconds,
         )
         for index, tenant in enumerate(config.tenants)
     ]
-    return heapq.merge(*streams, key=_arrival_key)
+    return map(_request_of, heapq.merge(*streams))
 
 
 def materialize_traffic(config: TrafficConfig) -> list[Request]:
@@ -316,13 +354,8 @@ def arrival_chunks(
     """
     if chunk_size < 1:
         raise ConfigError("chunk_size must be >= 1")
-    chunk: list[Request] = []
-    for request in stream_traffic(config):
-        chunk.append(request)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
+    stream = stream_traffic(config)
+    while chunk := list(islice(stream, chunk_size)):
         yield chunk
 
 
@@ -383,30 +416,45 @@ class TrafficCensus:
 
 def traffic_census(arrivals: Iterable[Request]) -> TrafficCensus:
     """Fold an arrival stream into a census without materializing it."""
-    census = TrafficCensus()
+    total = 0
+    first = last = 0.0
+    peak = 0
     bucket = -1
     bucket_count = 0
+    per_tenant: dict[str, int] = {}
+    per_tier: dict[str, list[int]] = {}  # tier -> [offered, in, out]
     for request in arrivals:
-        if census.total_requests == 0:
-            census.first_arrival = request.arrival_time
-        census.last_arrival = request.arrival_time
-        census.total_requests += 1
-        census.per_tenant[request.tenant] = (
-            census.per_tenant.get(request.tenant, 0) + 1
-        )
-        tier = census.per_tier.setdefault(request.tier, TierCensus())
-        tier.offered += 1
-        tier.input_tokens += request.input_tokens
-        tier.output_tokens += request.output_tokens
-        minute = int(request.arrival_time // 60.0)
+        last = request.arrival_time
+        if not total:
+            first = last
+            peak = 1  # the first arrival opens the first minute bucket
+        total += 1
+        tenant = request.tenant
+        per_tenant[tenant] = per_tenant.get(tenant, 0) + 1
+        tally = per_tier.get(request.tier)
+        if tally is None:
+            tally = per_tier[request.tier] = [0, 0, 0]
+        tally[0] += 1
+        tally[1] += request.input_tokens
+        tally[2] += request.output_tokens
+        minute = int(last // 60.0)
         if minute == bucket:
             bucket_count += 1
+            if bucket_count > peak:
+                peak = bucket_count
         else:
             bucket = minute
             bucket_count = 1
-        if bucket_count > census.peak_minute_requests:
-            census.peak_minute_requests = bucket_count
-    return census
+    return TrafficCensus(
+        total_requests=total,
+        first_arrival=first,
+        last_arrival=last,
+        peak_minute_requests=peak,
+        per_tenant=per_tenant,
+        per_tier={
+            tier: TierCensus(*tally) for tier, tally in per_tier.items()
+        },
+    )
 
 
 #: (name, dataset, share-of-total, tier, diurnal curve, burstiness) for
