@@ -7,9 +7,7 @@
 - :class:`ExpertMapMatcher` — semantic matches and per-iteration
   trajectory sessions (§4.2).  Eq. 5 has one implementation,
   :class:`~repro.core.matcher.IncrementalTrajectoryMatch`, which the
-  serving policy and the offline evaluators both drive layer by layer;
-  :class:`~repro.core.matcher.ReferenceTrajectoryMatch` is its naive
-  full-refold oracle.
+  serving policy and the offline evaluators both drive layer by layer.
 - :mod:`repro.core.prefetch` — similarity-aware expert selection with the
   dynamic threshold δ = clip(1 − score) and prefetch priorities (§4.3, §4.5).
 - :class:`FMoECacheScorer` — the 1/(p·freq) eviction priority (§4.5).

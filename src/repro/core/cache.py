@@ -11,7 +11,7 @@ use is layer-sequential, so the most recently used expert is the one
 *least* likely to be needed next.
 
 The scorer keeps its state in dense ``(L, J)`` arrays so the pool's
-columnar eviction path reads every candidate's score from one flat matrix
+single-victim eviction reads every candidate's score from one flat matrix
 (:meth:`FMoECacheScorer.score_matrix`, surfaced to the pool as the
 policy's ``eviction_score_matrix``) instead of one Python call per
 candidate.  The score matrix is maintained incrementally —

@@ -6,7 +6,7 @@ Per iteration the policy follows the paper's five steps:
    trajectory views.
 2. *Expert map matching*: semantic search guides the first ``d`` layers at
    iteration start; trajectory search over the prefix ``0..l`` picks the
-   map whose row guides layer ``l + d``.  The columnar core plans every
+   map whose row guides layer ``l + d``.  The policy plans every
    trajectory-guided layer of the iteration at its start (one fold of
    layers ``0..L−d−1``, one batched selection) and hands out layer ``l``'s
    entry at its gate output; entry ``l`` reads only rows ``0..l``, so the
@@ -35,21 +35,12 @@ import numpy as np
 
 from repro.baselines.base import BasePolicy, LFUTracker, LRUTracker
 from repro.core.cache import FMoECacheScorer
-from repro.core.matcher import ExpertMapMatcher, ReferenceTrajectoryMatch
+from repro.core.matcher import ExpertMapMatcher
 from repro.core.overheads import OverheadModel
-from repro.core.prefetch import (
-    prefetch_priority,
-    select_prefetch_counts,
-    select_prefetch_experts,
-    selection_threshold,
-)
+from repro.core.prefetch import select_prefetch_counts
 from repro.core.store import ExpertMapStore
 from repro.errors import ConfigError
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-)
+from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
 
@@ -125,11 +116,8 @@ class FMoEPolicy(BasePolicy):
         self.store: ExpertMapStore | None = None
         self.matcher: ExpertMapMatcher | None = None
         self.scorer: FMoECacheScorer | None = None
-        self._trajectory_session: ReferenceTrajectoryMatch | None = None
-        """The scalar core's per-layer search of the current iteration."""
         self._plan: TrajectoryPlan | None = None
-        """The columnar core's plan of the current iteration."""
-        self._columnar = False
+        """The trajectory plan of the current iteration."""
         self.semantic_score_log: list[float] = []
         self.trajectory_score_log: list[float] = []
 
@@ -139,7 +127,6 @@ class FMoEPolicy(BasePolicy):
 
     def attach(self, engine) -> None:
         super().attach(engine)
-        self._columnar = bool(getattr(engine, "columnar", False))
         config = engine.config
         distance = min(self.prefetch_distance, config.num_layers)
         if self._shared_store is not None:
@@ -188,39 +175,6 @@ class FMoEPolicy(BasePolicy):
     def _max_prefetch_count(self) -> int:
         return int(math.ceil(self.max_prefetch_factor * self.config.top_k))
 
-    def _select(self, row: np.ndarray, score: float) -> np.ndarray:
-        """Expert indices to prefetch for one layer given the match score."""
-        if self.dynamic_threshold:
-            threshold = selection_threshold(score)
-            return select_prefetch_experts(
-                row,
-                threshold,
-                self.config.top_k,
-                max_count=self._max_prefetch_count(),
-            )
-        top = np.argsort(row)[::-1][: self.config.top_k]
-        return top
-
-    def _instructions_for_layer(
-        self,
-        row: np.ndarray,
-        score: float,
-        target_layer: int,
-        current_layer: int,
-    ) -> list[PrefetchInstruction]:
-        assert self.scorer is not None
-        self.scorer.update_prediction_row(target_layer, row)
-        selected = self._select(row, score)
-        return [
-            PrefetchInstruction(
-                expert=ExpertId(target_layer, int(j)),
-                priority=prefetch_priority(
-                    float(row[j]), target_layer, current_layer
-                ),
-            )
-            for j in selected
-        ]
-
     def _prefetch_block_for_lanes(
         self,
         rows32: np.ndarray,
@@ -228,15 +182,16 @@ class FMoEPolicy(BasePolicy):
         targets: np.ndarray,
         gaps: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar :meth:`_instructions_for_layer` over N selection lanes.
+        """Prefetch selection (§4.3) over N lanes in one pass.
 
         ``rows32`` is ``(N, J)`` float32 map rows in emission order,
         ``scores``/``targets``/``gaps`` the per-lane match score, target
         layer, and layer gap ``l − l_now``.  Returns (flat ids,
-        priorities, per-lane counts): the same experts, in the same
-        lane-major order, with the same ``p / gap`` priorities the scalar
-        path would emit — one argsort/cumsum pass instead of one Python
-        call per lane and one ``PrefetchInstruction`` per expert.
+        priorities, per-lane counts): each lane's experts chosen by the
+        similarity threshold δ = clip(1 − score) (or a fixed top-K), in
+        lane-major order, with priorities ``p / gap`` — one
+        argsort/cumsum pass instead of one selection and one
+        ``PrefetchInstruction`` per lane and expert.
         """
         rows = rows32.astype(np.float64)
         width = rows.shape[1]
@@ -310,21 +265,11 @@ class FMoEPolicy(BasePolicy):
         assert self.store is not None and self.matcher is not None
         assert self.scorer is not None
         self.scorer.reset_predictions()
-        # One trajectory match per iteration.  The columnar core plans it
-        # here (the store is fixed until on_iteration_end and the routing
-        # is already sampled); the scalar reference core re-matches the
-        # full prefix from scratch at every layer — the naive Eq. 5
-        # interpreter the parity suite compares against, bitwise identical
-        # by construction.
+        # One trajectory match per iteration, planned here: the store is
+        # fixed until on_iteration_end and the routing is already sampled.
         self._plan = None
-        self._trajectory_session = None
         if self.use_trajectory and not self.store.is_empty:
-            if self._columnar:
-                self._plan = self.trajectory_plan(ctx.iteration_rows())
-            else:
-                self._trajectory_session = self.matcher.reference_session(
-                    ctx.batch_size
-                )
+            self._plan = self.trajectory_plan(ctx.iteration_rows())
         action = PolicyAction(
             sync_overheads={
                 "context_collect": self.overheads.context_collect_seconds
@@ -343,37 +288,23 @@ class FMoEPolicy(BasePolicy):
             if self.use_trajectory
             else self.config.num_layers
         )
-        if self._columnar:
-            # One (B, horizon, J) gather covers every (request, layer)
-            # lane; the legacy b-major/layer-inner emission order is the
-            # row-major reshape.  Prediction merges are an elementwise
-            # maximum, so folding the batch first is order-independent.
-            matched = self.store.gather_maps(result.indices)[:, :horizon, :]
-            merged = matched.max(axis=0)
-            for layer in range(horizon):
-                self.scorer.update_prediction_row(layer, merged[layer])
-            lanes = matched.reshape(-1, self.config.experts_per_layer)
-            layers = np.tile(np.arange(horizon), ctx.batch_size)
-            ids, priorities, _ = self._prefetch_block_for_lanes(
-                lanes,
-                np.repeat(result.scores, horizon),
-                layers,
-                layers + 1,
-            )
-            action.prefetch_block = (ids, priorities)
-            action.async_overheads = {
-                "map_match": self.matcher.match_seconds()
-            }
-            return action
-        instructions: list[PrefetchInstruction] = []
-        for b in range(ctx.batch_size):
-            score = float(result.scores[b])
-            for layer in range(horizon):
-                row = self.matcher.matched_row(result, b, layer)
-                instructions.extend(
-                    self._instructions_for_layer(row, score, layer, -1)
-                )
-        action.prefetch = instructions
+        # One (B, horizon, J) gather covers every (request, layer) lane,
+        # emitted b-major, layer-inner (the row-major reshape).
+        # Prediction merges are an elementwise maximum, so folding the
+        # batch first is order-independent.
+        matched = self.store.gather_maps(result.indices)[:, :horizon, :]
+        merged = matched.max(axis=0)
+        for layer in range(horizon):
+            self.scorer.update_prediction_row(layer, merged[layer])
+        lanes = matched.reshape(-1, self.config.experts_per_layer)
+        layers = np.tile(np.arange(horizon), ctx.batch_size)
+        ids, priorities, _ = self._prefetch_block_for_lanes(
+            lanes,
+            np.repeat(result.scores, horizon),
+            layers,
+            layers + 1,
+        )
+        action.prefetch_block = (ids, priorities)
         action.async_overheads = {"map_match": self.matcher.match_seconds()}
         return action
 
@@ -386,37 +317,14 @@ class FMoEPolicy(BasePolicy):
             # The forward pass moved past layer-1: its experts are now the
             # least valuable residents (layer-sequential reuse, §4.5).
             self.scorer.mark_layer_done(layer - 1)
-        if not self.use_trajectory:
-            return PolicyAction()
         target = layer + self.prefetch_distance
         plan = self._plan
-        if plan is not None:
-            if target >= self.config.num_layers:
-                return PolicyAction()
-            self.scorer.update_prediction_row(target, plan.predictions[layer])
-            self.trajectory_score_log.extend(
-                float(s) for s in plan.scores[layer]
-            )
-            return PolicyAction(
-                prefetch_block=(plan.ids[layer], plan.priorities[layer]),
-                async_overheads={"map_match": self.matcher.match_seconds()},
-            )
-        session = self._trajectory_session
-        if session is None:
+        if plan is None or target >= self.config.num_layers:
             return PolicyAction()
-        result = session.observe_layer(ctx.observed[:, layer, :])
-        if result is None or target >= self.config.num_layers:
-            return PolicyAction()
-        self.trajectory_score_log.extend(float(s) for s in result.scores)
-        instructions: list[PrefetchInstruction] = []
-        for b in range(ctx.batch_size):
-            score = float(result.scores[b])
-            row = self.matcher.matched_row(result, b, target)
-            instructions.extend(
-                self._instructions_for_layer(row, score, target, layer)
-            )
+        self.scorer.update_prediction_row(target, plan.predictions[layer])
+        self.trajectory_score_log.extend(float(s) for s in plan.scores[layer])
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=(plan.ids[layer], plan.priorities[layer]),
             async_overheads={"map_match": self.matcher.match_seconds()},
         )
 

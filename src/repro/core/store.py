@@ -123,8 +123,8 @@ class ExpertMapStore:
     def gather_maps(self, indices: np.ndarray) -> np.ndarray:
         """Stored maps for a batch of slots: ``(B, L, J)`` float32 copy.
 
-        The columnar gather form of :meth:`get_map` — one fancy index
-        instead of one Python call per batch position.
+        The batched form of :meth:`get_map` — one fancy index instead of
+        one Python call per batch position.
         """
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size and (

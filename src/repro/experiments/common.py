@@ -163,7 +163,6 @@ def make_engine(
     cache_budget_bytes: int | None = None,
     faults: FaultSchedule | None = None,
     slo: SLOConfig | None = None,
-    columnar: bool = True,
     hardware: HardwareConfig | None = None,
 ) -> ServingEngine:
     """Build a fresh engine for ``world`` under one system.
@@ -201,7 +200,6 @@ def make_engine(
         hardware=hardware,
         faults=faults,
         slo=slo,
-        columnar=columnar,
     )
 
 
@@ -218,7 +216,6 @@ def run_system(
     observers: Sequence[EngineObserver] = (),
     monitor=None,
     mutate=None,
-    columnar: bool = True,
 ) -> ServingReport:
     """Serve the world's test requests under one system.
 
@@ -230,8 +227,7 @@ def run_system(
     checking to the engine's event stream — the caller runs its
     end-of-run checks via ``monitor.finish``.  ``mutate`` is a callable
     applied to the freshly built engine (the validation harness injects
-    registered defects through it).  ``columnar=False`` serves through
-    the scalar reference core (the differential-parity anchor).
+    registered defects through it).
     """
     config = world.config
     engine = make_engine(
@@ -240,7 +236,6 @@ def run_system(
         cache_budget_bytes=cache_budget_bytes,
         faults=faults,
         slo=slo,
-        columnar=columnar,
     )
     if mutate is not None:
         mutate(engine)

@@ -218,17 +218,11 @@ class ServingEngine:
         placement: str = "round-robin",
         faults: FaultSchedule | None = None,
         slo: SLOConfig | None = None,
-        columnar: bool = True,
     ) -> None:
         self.model = model
         self.config = model.config
         self.policy = policy
         self.hardware = hardware
-        self.columnar = columnar
-        """Route the hot loop through the batched (array-at-a-time) code
-        paths.  Results are byte-identical to the scalar paths; ``False``
-        keeps the scalar per-expert loops, the reference that
-        ``tests/test_engine_parity.py`` compares the batched paths against."""
         # An all-zero schedule must not perturb the healthy path, so it is
         # dropped entirely (no extra arithmetic anywhere).
         self.faults = (
@@ -245,7 +239,6 @@ class ServingEngine:
             cache_budget_bytes,
             placement=placement,
             faults=self.faults,
-            columnar=columnar,
         )
         self.pool.set_eviction_oracle(policy)
         self.pool.engine = self
@@ -737,7 +730,7 @@ class ServingEngine:
 
     def _layer_union(self, ctx: IterationContext, layer: int) -> list[ExpertId]:
         activated = ctx.activated_at(layer)
-        if self.columnar and len(activated) == 1:
+        if len(activated) == 1:
             # Routing arrays are already sorted and unique per request, so
             # a single-request union needs no set round-trip.
             return [ExpertId(layer, int(j)) for j in activated[0]]
@@ -750,14 +743,7 @@ class ServingEngine:
         self, ctx: IterationContext, layer: int
     ) -> dict[ExpertId, bool]:
         experts = self._layer_union(ctx, layer)
-        if self.columnar:
-            return dict(
-                zip(experts, self.pool.ready_flags(experts, self._now))
-            )
-        return {
-            expert: self.pool.is_ready(expert, self._now)
-            for expert in experts
-        }
+        return dict(zip(experts, self.pool.ready_flags(experts, self._now)))
 
     def _serve_layer(
         self,
@@ -776,14 +762,14 @@ class ServingEngine:
             expert_seconds *= self.faults.compute_multiplier(self._now)
         breakdown = report.breakdown
         observers = self.observers
-        if self.columnar and not observers and all(hits_at_gate.values()):
+        if not observers and all(hits_at_gate.values()):
             # All-hit layers (the steady state once prefetching warms up)
             # need none of the miss machinery: hits stay ready for the
             # whole layer because the pool protects them, so the per-expert
             # readiness re-check, event emission, and stall handling are
             # provably no-ops.  Serve callbacks and the virtual clock are
-            # folded locally in the same left-to-right order as the scalar
-            # loop, so every float lands bitwise identically.
+            # folded locally in the same left-to-right order as the general
+            # loop below, so every float lands bitwise identically.
             count = len(experts)
             if count:
                 report.hits += count
@@ -980,7 +966,7 @@ class ServingEngine:
         breakdown: LatencyBreakdown,
         issue_time: float,
     ) -> None:
-        """Issue a columnar prefetch block in descending-priority order.
+        """Issue a prefetch block in descending-priority order.
 
         Byte-identical to routing the same experts through the instruction
         list: the stable argsort of negated priorities reproduces Python's

@@ -45,10 +45,10 @@ class EvictionOracle(Protocol):
         ``eviction_score_matrix(now: float) -> np.ndarray | None``
 
     returning every expert's score indexed by flat ``layer *
-    experts_per_layer + expert`` (or None to decline).  The columnar pool
-    uses it to pick a single victim without one scoring call per
-    candidate; oracles without it (third-party scalar policies), and
-    multi-victim evictions, use the per-candidate
+    experts_per_layer + expert`` (or None to decline).  The pool uses it
+    to pick a single victim without one scoring call per candidate;
+    oracles that lack or decline it (the baselines, fMoE's lru/lfu
+    ablations), and multi-victim evictions, use the per-candidate
     :meth:`eviction_priority` sort.
     """
 
@@ -111,7 +111,6 @@ class ExpertPool:
         placement: str = "round-robin",
         faults: FaultSchedule | None = None,
         retry_policy: RetryPolicy | None = None,
-        columnar: bool = True,
     ) -> None:
         if cache_budget_bytes <= 0:
             raise ConfigError("cache budget must be > 0")
@@ -150,11 +149,6 @@ class ExpertPool:
         # placement function alone cannot recover it once a device has
         # failed and later loads were re-homed onto survivors.
         self._home: dict[ExpertId, int] = {}
-        self.columnar = columnar
-        """When False, eviction scoring ignores any dense score matrix the
-        oracle exposes and calls ``eviction_priority`` once per candidate —
-        the scalar reference interpreter the parity suite compares
-        against."""
         self._oracle: EvictionOracle = _EvictNothing()
         self.protected: set[ExpertId] = set()
         self.stats = PoolStats()
@@ -236,7 +230,7 @@ class ExpertPool:
 
         Reads the same live task objects, so an urgent load that pauses a
         queued prefetch delays its visibility here exactly as it does for
-        the scalar query.
+        :meth:`is_ready`.
         """
         tasks = self._tasks
         flags: list[bool] = []
@@ -246,7 +240,8 @@ class ExpertPool:
             if task is _ABSENT:
                 append(False)
             elif task is None:
-                append(True)
+                # Preloaded: usable from time 0, as ``arrival_time`` says.
+                append(now >= 0.0)
             else:
                 append(task.end <= now)
         return flags
@@ -489,16 +484,13 @@ class ExpertPool:
         # per-candidate method-call overhead of ``is_ready`` matters.
         protected = self.protected
         tasks = self._tasks
-        # Columnar scoring when the oracle exposes its dense score
-        # matrix and one eviction suffices: the victim comes from O(1)
-        # array lookups instead of one Python scoring call per candidate.
-        # The matrix holds exactly the scores ``eviction_priority``
-        # returns, so both paths evict the same victims.
-        matrix = None
-        if self.columnar:
-            dense = getattr(self._oracle, "eviction_score_matrix", None)
-            if dense is not None:
-                matrix = dense(now)
+        # Dense scoring when the oracle exposes its score matrix and one
+        # eviction suffices: the victim comes from O(1) array lookups
+        # instead of one Python scoring call per candidate.  The matrix
+        # holds exactly the scores ``eviction_priority`` returns, so both
+        # paths evict the same victims.
+        dense = getattr(self._oracle, "eviction_score_matrix", None)
+        matrix = dense(now) if dense is not None else None
         if (
             matrix is not None
             and device.free_bytes() + self._expert_bytes >= needed_bytes

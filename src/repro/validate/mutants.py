@@ -69,8 +69,9 @@ def _phantom_ready(engine: "ServingEngine") -> None:
     """The cache vouches for experts it never loaded."""
     pool = engine.pool
     pool.is_ready = lambda expert, now: True
-    # The columnar engine asks for readiness in one batched call; the lie
-    # must cover both query forms or the mutant only fools the scalar path.
+    # Both probes lie: ``ready_flags`` decides hits at the gate and feeds
+    # the router's residency score, and ``is_ready`` is the engine's
+    # re-check before it serves each expert.
     pool.ready_flags = lambda experts, now: [True] * len(experts)
 
 

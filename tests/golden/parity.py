@@ -10,28 +10,28 @@ The cells cover both default models at batch 1 and 8 and prefetch
 distance 1 and 3; batch 32 on the tiny world; the lru, lfu and fmoe
 eviction algorithms under the default budget and a pressured one of two
 experts per GPU; transfer-fault schedules; arrival traces served with
-``respect_arrivals``; 1–4-replica clusters under every router (one on a
-shared store); and every system :func:`make_policy` builds.
+``respect_arrivals``; 1–4-replica clusters under every router, and 2
+replicas on a shared store; and every system :func:`make_policy` builds.
 
-The answers were recorded with the scalar reference core.  Regenerate
-with::
+The answers are the scalar reference core's: first recorded with the
+engine's former ``columnar=False`` core, now reproduced by the test-local
+reference (:mod:`tests._reference_core`).  Regenerate with::
 
     PYTHONPATH=src python -m tests.golden.parity
 
-which records every cell with the reference and fails unless the
-default core gives the same answer.
+which records every cell on the reference and fails, writing nothing,
+unless the serving core gives the same answer.  Regenerating must leave
+the file byte for byte as it is.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from unittest import mock
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 PARITY_CORPUS_PATH = GOLDEN_DIR / "parity_corpus.json"
@@ -355,47 +355,29 @@ def run_cell(cell: ParityCell, mutate=None) -> dict:
     return _digest(report_to_json(report), report)
 
 
-@contextlib.contextmanager
-def scalar_core():
-    """Serve every engine built through ``make_engine`` on the scalar
-    core (``columnar=False``), bare runs and cluster replicas alike."""
-    import repro.cluster.driver as driver
-    import repro.experiments.common as common
-
-    make_engine = common.make_engine
-
-    def scalar(*args, **kwargs):
-        # Override, not default: ``run_system`` passes ``columnar`` on.
-        kwargs["columnar"] = False
-        return make_engine(*args, **kwargs)
-
-    with mock.patch.object(common, "make_engine", scalar), mock.patch.object(
-        driver, "make_engine", scalar
-    ):
-        yield
-
-
 def load_parity_corpus() -> dict[str, dict]:
     """The checked-in corpus: cell id → recorded entry."""
     return json.loads(PARITY_CORPUS_PATH.read_text())["cells"]
 
 
 def regenerate() -> None:
-    """Record every cell on the scalar core and rewrite the corpus.
+    """Record every cell on the reference core and rewrite the corpus.
 
-    Fails (writing nothing) when any cell's default-core answer differs.
+    Fails (writing nothing) when any cell's serving-core answer differs.
     """
+    from tests._reference_core import reference_core
+
     cells = parity_cells()
     ids = [cell.id for cell in cells]
     assert len(set(ids)) == len(ids), "duplicate parity cell ids"
     recorded: dict[str, dict] = {}
     for cell in cells:
-        with scalar_core():
+        with reference_core():
             entry = run_cell(cell)
-        default = run_cell(cell)
-        if default != entry:
+        core = run_cell(cell)
+        if core != entry:
             raise AssertionError(
-                f"{cell.id}: default core {default} != scalar core {entry}"
+                f"{cell.id}: serving core {core} != reference {entry}"
             )
         recorded[cell.id] = entry
     PARITY_CORPUS_PATH.write_text(

@@ -1,15 +1,22 @@
-"""Differential parity: the columnar engine core vs the scalar reference.
+"""Differential parity: the serving core against the scalar reference.
 
-The columnar rewrite of the serving hot loop is pinned three ways; this
-suite is the differential leg.  ``columnar=False`` swaps in the scalar
-reference interpreter (per-expert readiness probes, per-candidate
-eviction scoring, naive full-prefix trajectory re-matching), and every
-test here demands **byte-identical** serialized reports between the two
-cores — on the committed golden corpus, at batched and distance-1
-serving shapes, on hypothesis-generated worlds and arrival traces,
-through fault schedules, and through the cluster driver.  The mutant
-screen re-runs through the columnar core to prove the validators kept
-their teeth across the rewrite.
+One core serves every run.  Its answers are pinned three ways, and
+every comparison demands **byte-identical** serialized reports:
+
+- the golden reports equal the core's and the reference's
+  (:mod:`tests._reference_core`: naive per-layer trajectory re-matching,
+  per-expert prefetch instructions, per-candidate eviction scoring, the
+  general serving loop);
+- hypothesis-drawn worlds, arrival traces, fault schedules and clusters
+  serve identically through the core and the reference;
+- the parity corpus (``tests/golden/parity_corpus.json``) holds the
+  scalar core's recorded answers on fixed cells.  Its default-model
+  cells are checked here on the core alone (the reference costs 4–7x
+  there); ``tests/test_parity_corpus.py`` checks the tiny-world cells
+  and that the corpus moves under every engine mutant.
+
+The mutant screen re-runs through the core to prove the validators kept
+their teeth.
 """
 
 from __future__ import annotations
@@ -23,16 +30,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, run_cluster
-from repro.experiments.common import ExperimentConfig, build_world, run_system
+from repro.experiments.common import make_engine, run_system
 from repro.serving.engine import ServingEngine
 from repro.serving.export import report_to_dict, report_to_json
 from repro.serving.faults import FaultConfig, FaultSchedule
+from repro.serving.pool import ExpertPool
 from repro.validate.harness import detect_mutant
 from repro.validate.mutants import MUTANTS
 
 from tests._cluster_testkit import arrival_trace, tiny_world
+from tests._reference_core import reference_core
 from tests._strategies import fleet_shapes
-from tests.golden.corpus import GOLDEN_CASES, GOLDEN_SEED, load_golden
+from tests.golden.corpus import GOLDEN_CASES, load_golden
+from tests.golden.parity import (
+    DEFAULT_WORLDS,
+    load_parity_corpus,
+    parity_cells,
+    run_cell,
+)
 
 PARITY_SETTINGS = settings(
     max_examples=8,
@@ -46,7 +61,7 @@ def _bytes(report) -> str:
 
 
 class TestGoldenParity:
-    """Both cores reproduce the committed golden corpus byte for byte."""
+    """The core and the reference reproduce the golden reports."""
 
     @pytest.fixture(scope="class")
     def world_cache(self):
@@ -72,52 +87,46 @@ class TestGoldenParity:
         )
         world = world_cache.get(config)
         golden = json.dumps(load_golden(case), sort_keys=True)
-        columnar = json.dumps(
+        core = json.dumps(
             report_to_dict(run_system(world, case.system)), sort_keys=True
         )
-        scalar = json.dumps(
-            report_to_dict(run_system(world, case.system, columnar=False)),
-            sort_keys=True,
-        )
-        assert columnar == golden, f"{case.filename}: columnar core drifted"
-        assert scalar == golden, f"{case.filename}: scalar reference drifted"
+        with reference_core():
+            reference = json.dumps(
+                report_to_dict(run_system(world, case.system)),
+                sort_keys=True,
+            )
+        assert core == golden, f"{case.filename}: the core drifted"
+        assert reference == golden, f"{case.filename}: the reference drifted"
 
 
-#: Serving shapes off the golden corpus's batch-1 / distance-3 default:
-#: batched iterations (many selection lanes per prefetch block) and
-#: distance-1 prefetching (one lane per semantic match at batch 1).
-LIVE_SHAPES = {
-    "batch8": dict(batch_size=8),
-    "distance1": dict(prefetch_distance=1),
-}
+#: Shape names of the default-model corpus cells (batch, distance): the
+#: two shapes the live comparison once served on both models.
+LIVE_SHAPES = {(8, 3): "batch8", (1, 1): "distance1"}
+
+
+def _live_id(cell) -> str:
+    model = DEFAULT_WORLDS[cell.world][0]
+    return f"{model}-{LIVE_SHAPES[cell.batch_size, cell.prefetch_distance]}"
 
 
 class TestLiveShapeParity:
-    """Batched and distance-1 serving match the scalar core byte for byte."""
+    """Default-model cells reproduce the scalar core's recorded answers."""
 
-    @pytest.mark.parametrize("shape", sorted(LIVE_SHAPES))
     @pytest.mark.parametrize(
-        "case",
-        [c for c in GOLDEN_CASES if c.system == "fmoe"],
-        ids=lambda c: c.model,
+        "cell",
+        [
+            pytest.param(cell, id=_live_id(cell))
+            for cell in parity_cells()
+            if cell.world != "tiny"
+        ],
     )
-    def test_columnar_equals_scalar(self, case, shape):
-        config = ExperimentConfig(
-            model_name=case.model,
-            dataset=case.dataset,
-            num_requests=16,
-            num_test_requests=8,
-            seed=GOLDEN_SEED,
-            **LIVE_SHAPES[shape],
-        )
-        world = build_world(config)
-        columnar = _bytes(run_system(world, case.system))
-        scalar = _bytes(run_system(world, case.system, columnar=False))
-        assert columnar == scalar, f"{case.model} {shape}: cores differ"
+    def test_columnar_equals_scalar(self, cell):
+        recorded = load_parity_corpus()[cell.id]
+        assert run_cell(cell) == recorded, f"{cell.id}: the core drifted"
 
 
 class TestPropertyParity:
-    """Generated workloads serve identically through both cores."""
+    """Generated workloads serve identically through core and reference."""
 
     @PARITY_SETTINGS
     @given(shape=fleet_shapes(max_replicas=1))
@@ -127,9 +136,9 @@ class TestPropertyParity:
             world, n=shape["n"], gap=shape["gap"], seed=shape["seed"]
         )
         kwargs = dict(requests=trace, respect_arrivals=True)
-        assert _bytes(
-            run_system(world, "fmoe", columnar=False, **kwargs)
-        ) == _bytes(run_system(world, "fmoe", **kwargs))
+        with reference_core():
+            reference = _bytes(run_system(world, "fmoe", **kwargs))
+        assert reference == _bytes(run_system(world, "fmoe", **kwargs))
 
     @PARITY_SETTINGS
     @given(
@@ -139,7 +148,7 @@ class TestPropertyParity:
         straggler=st.sampled_from((0.0, 0.5)),
     )
     def test_faulted_parity(self, seed, degradation, failure, straggler):
-        """Fault schedules perturb both cores identically."""
+        """Fault schedules perturb core and reference identically."""
         world = tiny_world(seed)
         config = FaultConfig(
             seed=seed,
@@ -147,21 +156,17 @@ class TestPropertyParity:
             transfer_failure_prob=failure,
             straggler_prob=straggler,
         )
-        reports = [
-            run_system(
-                world,
-                "fmoe",
-                faults=FaultSchedule(config),
-                columnar=columnar,
+        core = run_system(world, "fmoe", faults=FaultSchedule(config))
+        with reference_core():
+            reference = run_system(
+                world, "fmoe", faults=FaultSchedule(config)
             )
-            for columnar in (True, False)
-        ]
-        assert _bytes(reports[0]) == _bytes(reports[1])
+        assert _bytes(core) == _bytes(reference)
 
     @PARITY_SETTINGS
     @given(shape=fleet_shapes())
     def test_cluster_parity(self, shape):
-        """The cluster driver is core-agnostic, replica by replica."""
+        """Every replica serves identically on core and reference."""
         world = tiny_world(shape["seed"])
         trace = arrival_trace(
             world, n=shape["n"], gap=shape["gap"], seed=shape["seed"]
@@ -169,28 +174,25 @@ class TestPropertyParity:
         spec = ClusterSpec(
             replicas=shape["replicas"], router=shape["router"]
         )
-        columnar = run_cluster(world, "fmoe", spec, requests=trace)
-        import repro.cluster.driver as driver
-        import repro.experiments.common as common
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                driver,
-                "make_engine",
-                lambda *args, **kwargs: common.make_engine(
-                    *args, columnar=False, **kwargs
-                ),
-            )
-            scalar = run_cluster(world, "fmoe", spec, requests=trace)
-        assert _bytes(columnar.aggregate) == _bytes(scalar.aggregate)
+        core = run_cluster(world, "fmoe", spec, requests=trace)
+        with reference_core():
+            reference = run_cluster(world, "fmoe", spec, requests=trace)
+        assert _bytes(core.aggregate) == _bytes(reference.aggregate)
 
 
 class TestMutantsThroughColumnarCore:
-    """The batched core did not blunt the validators."""
+    """The one core did not blunt the validators."""
 
-    def test_columnar_is_the_default_core(self):
-        signature = inspect.signature(ServingEngine.__init__)
-        assert signature.parameters["columnar"].default is True
+    def test_no_core_switch(self):
+        """No entry point selects a second core."""
+        for function in (
+            ServingEngine.__init__,
+            ExpertPool.__init__,
+            make_engine,
+            run_system,
+        ):
+            parameters = inspect.signature(function).parameters
+            assert "columnar" not in parameters, function.__qualname__
 
     @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
     def test_mutant_detected_through_batched_core(self, mutant):
@@ -206,6 +208,6 @@ class TestMutantsThroughColumnarCore:
         )
         result = detect_mutant(pressured, mutant)
         assert result.flagged, (
-            f"mutant {mutant.name!r} survived the columnar core "
+            f"mutant {mutant.name!r} survived the core "
             f"(expected detector: {mutant.expected_detector})"
         )

@@ -75,6 +75,40 @@ class TestResidency:
         assert pool.stats.prefetch_issued == 1
 
 
+class TestReadyFlags:
+    def test_ready_flags_equal_is_ready_in_every_task_state(
+        self, config, hardware
+    ):
+        """The gate's batched residency probe answers exactly as
+        ``is_ready`` for each kind of tracked (and untracked) expert."""
+        pool = make_pool(config, hardware, budget_experts=8)
+        preloaded, in_flight, queued, urgent = E(0, 1), E(0, 0), E(0, 2), E(1, 0)
+        evicted, untracked = E(1, 1), E(3, 3)
+        pool.preload([preloaded])
+        assert pool.prefetch(in_flight, 0.0) == "scheduled"
+        assert pool.prefetch(queued, 0.0) == "scheduled"
+        assert pool.prefetch(evicted, 0.0) == "scheduled"
+        pool.evict(evicted)
+        queued_before = pool.arrival_time(queued)
+        pool.load_on_demand(urgent, now=0.0)
+        assert pool.arrival_time(queued) > queued_before  # pushed back
+        experts = [preloaded, in_flight, queued, urgent, evicted, untracked]
+        arrivals = sorted(
+            {pool.arrival_time(e) for e in experts} - {None}
+        )
+        times = [0.0, queued_before]
+        for arrival in arrivals:
+            times += [arrival - 1e-9, arrival, arrival + 1e-9]
+        seen = set()
+        for now in times:
+            flags = pool.ready_flags(experts, now)
+            assert flags == [pool.is_ready(e, now) for e in experts], now
+            seen.add(tuple(flags))
+        # The probe times cover in flight and arrived for every transfer.
+        assert (True, False, False, False, False, False) in seen
+        assert (True, True, True, True, False, False) in seen
+
+
 class TestPlacement:
     def test_round_robin_spreads_devices(self, config, hardware):
         pool = make_pool(config, hardware)
