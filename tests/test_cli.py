@@ -64,6 +64,21 @@ class TestParser:
         assert "validate" in commands
         assert len(commands) >= 15
 
+    def test_surface_matches_golden(self):
+        from tests.golden.cli import cli_surface, load_cli_surface
+
+        live = {entry["command"]: entry for entry in cli_surface()}
+        golden = {entry["command"]: entry for entry in load_cli_surface()}
+        assert list(live) == list(golden), (
+            "subcommands drifted; if intentional, regenerate with "
+            "`PYTHONPATH=src python -m tests.golden.cli`"
+        )
+        for name, entry in golden.items():
+            assert live[name] == entry, (
+                f"`repro {name}` surface drifted; if intentional, "
+                "regenerate with `PYTHONPATH=src python -m tests.golden.cli`"
+            )
+
     @pytest.mark.parametrize("command", all_subcommands())
     def test_every_subcommand_help_exits_zero(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
