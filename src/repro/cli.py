@@ -2,26 +2,51 @@
 
 ``python -m repro --help`` lists the commands (one per paper table or
 figure, plus the chaos, cluster, storm, fleet, observability and
-validation tools); each command's help text sits beside its parser in
-:func:`build_parser`.  Model, dataset, policy, router, placement and
-replica-profile names come from the registries that define them, and
-model, dataset, policy and router names accept unambiguous prefixes.
+validation tools).  Each is one :data:`COMMANDS` entry, registered by
+:func:`command` on its handler.  Every name-valued option takes its
+names from the registry that defines them and accepts unambiguous
+prefixes, so an unknown name is a usage error before any world is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 from repro.cluster.config import (
     PLACEMENT_NAMES,
     REPLICA_PROFILES,
     ROUTER_NAMES,
 )
-from repro.experiments.common import POLICY_NAMES, ExperimentConfig
+from repro.experiments.common import (
+    POLICY_NAMES,
+    SYSTEM_NAMES,
+    ExperimentConfig,
+    build_world,
+    online_trace,
+    run_system,
+)
+from repro.experiments.faults import default_scenarios
+from repro.experiments.fleet import default_fleet_shapes, fleet_rows
+from repro.experiments.resilience import default_storm_scenarios, storm_rows
 from repro.moe.config import ALL_MODELS
 from repro.workloads.datasets import DATASET_PROFILES
+
+#: Adds one or more arguments to a subcommand's parser.
+Group = Callable[[argparse.ArgumentParser], object]
+
+
+MODEL_NAMES = tuple(model.name for model in ALL_MODELS)
+DATASET_NAMES = tuple(DATASET_PROFILES)
+# Scenario and shape names do not depend on the seed the scenarios are
+# built with; handlers rebuild the scenarios from the run's seed.
+FAULT_SCENARIO_NAMES = tuple(s.name for s in default_scenarios())
+STORM_SCENARIO_NAMES = tuple(s.name for s in default_storm_scenarios())
+FLEET_SHAPE_NAMES = tuple(shape.name for shape in default_fleet_shapes())
 
 
 def _prefix_choice(choices: tuple[str, ...]):
@@ -41,22 +66,35 @@ def _prefix_choice(choices: tuple[str, ...]):
     return resolve
 
 
-def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dataset",
-        default="lmsys-chat-1m",
-        type=_prefix_choice(tuple(DATASET_PROFILES)),
-    )
+def _arg(*flags: str, **options) -> Group:
+    """A group of one argument."""
+    return lambda parser: parser.add_argument(*flags, **options)
 
 
-def _add_world_args(parser: argparse.ArgumentParser) -> None:
+def _flag(flag: str, help: str) -> Group:
+    """An on/off switch."""
+    return _arg(flag, action="store_true", help=help)
+
+
+def _names(flag: str, names: tuple[str, ...], **options) -> Group:
+    """A list of names from ``names`` (unambiguous prefixes accepted)."""
+    return _arg(flag, nargs="*", type=_prefix_choice(names), **options)
+
+
+_dataset_arg = _arg(
+    "--dataset", default="lmsys-chat-1m", type=_prefix_choice(DATASET_NAMES)
+)
+
+
+def _world_args(parser: argparse.ArgumentParser) -> None:
+    """The :class:`ExperimentConfig` options; marks a world command."""
     # ``--model mixtral`` style: unambiguous prefixes are accepted.
     parser.add_argument(
         "--model",
         default="mixtral-8x7b",
-        type=_prefix_choice(tuple(model.name for model in ALL_MODELS)),
+        type=_prefix_choice(MODEL_NAMES),
     )
-    _add_dataset_arg(parser)
+    _dataset_arg(parser)
     parser.add_argument("--requests", type=int, default=40)
     parser.add_argument("--test-requests", type=int, default=6)
     parser.add_argument(
@@ -71,7 +109,16 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+_jobs_arg = _arg(
+    "--jobs",
+    type=int,
+    default=1,
+    help="workers for independent simulation cells "
+    "(0 = all cores; results are identical at any level)",
+)
+
+
+def _sweep_args(parser: argparse.ArgumentParser) -> None:
     """``--validate`` and ``--jobs``, which every sweep command takes."""
     parser.add_argument(
         "--validate",
@@ -79,21 +126,11 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         help="attach runtime invariant monitors to every cell and fail "
         "on the first breach (results are unchanged otherwise)",
     )
-    _add_jobs_arg(parser)
+    _jobs_arg(parser)
 
 
-def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="workers for independent simulation cells "
-        "(0 = all cores; results are identical at any level)",
-    )
-
-
-def _add_deadline_arg(parser: argparse.ArgumentParser, default: float) -> None:
-    parser.add_argument(
+def _deadline_arg(default: float) -> Group:
+    return _arg(
         "--deadline-multiplier",
         type=float,
         default=default,
@@ -102,36 +139,98 @@ def _add_deadline_arg(parser: argparse.ArgumentParser, default: float) -> None:
     )
 
 
-def _add_system_arg(parser: argparse.ArgumentParser) -> None:
+def _trace_args(requests: int, rate: float) -> Group:
+    """The generated online trace: its length and mean arrival rate."""
+
+    def add(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--trace-requests", type=int, default=requests)
+        parser.add_argument("--rate", type=float, default=rate)
+
+    return add
+
+
+_system_arg = _arg(
+    "--system", default="fmoe", type=_prefix_choice(POLICY_NAMES)
+)
+
+
+def _systems_arg(default: list[str] | None = None) -> Group:
+    return _names("--systems", POLICY_NAMES, default=default)
+
+
+def _replica_args(parser: argparse.ArgumentParser) -> None:
+    """The served cluster's size, router and system."""
+    parser.add_argument("--replicas", type=int, default=2)
     parser.add_argument(
-        "--system", default="fmoe", type=_prefix_choice(POLICY_NAMES)
+        "--router",
+        default="round-robin",
+        type=_prefix_choice(ROUTER_NAMES),
+        help="placement policy (unambiguous prefixes accepted)",
+    )
+    _system_arg(parser)
+
+
+def _chaos_args(parser: argparse.ArgumentParser) -> None:
+    """Cluster-scope chaos and the resilience layer that answers it."""
+    parser.add_argument(
+        "--chaos",
+        default=None,
+        type=_prefix_choice(STORM_SCENARIO_NAMES),
+        help="subject the fleet to a named storm scenario "
+        "(see `repro storm-lite`)",
+    )
+    parser.add_argument(
+        "--resilience",
+        action="store_true",
+        help="enable the cluster resilience layer (admission control, "
+        "degradation ladder, retry budgets, circuit breakers)",
     )
 
 
-def _pick(kind: str, items: Sequence, names: Sequence[str] | None):
-    """The ``items`` named by ``names`` (all of them when none are named).
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its name, help, argument groups and handler.
 
-    An unknown name prints the choices and returns None, which the
-    command turns into exit code 2.
+    The groups add the subcommand's arguments in order.  A command whose
+    groups include :func:`_world_args` is a world command: :func:`main`
+    builds its :class:`ExperimentConfig` once and passes it to the
+    handler; every other handler gets None.
     """
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace, ExperimentConfig | None], int]
+    groups: tuple[Group, ...] = ()
+
+
+#: Every subcommand, in ``--help`` order.
+COMMANDS: list[Command] = []
+
+
+def command(name: str, help: str, *groups: Group):
+    """Register the decorated handler as subcommand ``name``."""
+
+    def register(handler):
+        COMMANDS.append(Command(name, help, handler, groups))
+        return handler
+
+    return register
+
+
+def _lookup(items: Iterable, names: Sequence[str] | None):
+    """The ``items`` argparse resolved ``names`` to, in order; None
+    (the runner's full default set) when none are named."""
     if not names:
-        return tuple(items)
-    by_name = {item.name: item for item in items}
-    unknown = [name for name in names if name not in by_name]
-    if unknown:
-        known = ", ".join(sorted(by_name))
-        print(f"unknown {kind}(s) {unknown}; choose from: {known}")
         return None
+    by_name = {item.name: item for item in items}
     return tuple(by_name[name] for name in names)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Write a benchmark payload as sorted, indented JSON."""
-    import json
-    from pathlib import Path
-
+def _write_json(path: str, payload: object, sort_keys: bool = True) -> None:
+    """Write a command's payload as indented JSON."""
     target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=sort_keys)
+    target.write_text(text + "\n")
     print(f"wrote {target}")
 
 
@@ -148,7 +247,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def cmd_models(args: argparse.Namespace) -> int:
+@command("models", "print Table-1 model characteristics")
+def cmd_models(args: argparse.Namespace, config: None) -> int:
     """Print the Table-1 model characteristics."""
     from repro.experiments.table1 import table1_rows
 
@@ -157,15 +257,15 @@ def cmd_models(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+@command(
+    "compare",
+    "offline comparison (Fig. 9 style)",
+    _world_args,
+    _systems_arg(),
+    _flag("--chart", "render terminal bar charts"),
+)
+def cmd_compare(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Offline fMoE-vs-baselines comparison (Fig. 9 style)."""
-    from repro.experiments.common import (
-        SYSTEM_NAMES,
-        build_world,
-        run_system,
-    )
-
-    config = _config_from_args(args)
     world = build_world(config)
     systems = args.systems or list(SYSTEM_NAMES)
     reports = {}
@@ -193,12 +293,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_overall(args: argparse.Namespace) -> int:
+@command(
+    "overall",
+    "full Fig. 9 (model x dataset x system) table",
+    _world_args,
+    _names(
+        "--models",
+        MODEL_NAMES,
+        default=["mixtral-8x7b", "qwen1.5-moe", "phi-3.5-moe"],
+    ),
+    _names(
+        "--datasets", DATASET_NAMES, default=["lmsys-chat-1m", "sharegpt"]
+    ),
+    _systems_arg(),
+    _flag("--summary", "print fMoE's mean improvement over each baseline"),
+    _sweep_args,
+)
+def cmd_overall(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """The full Fig. 9 table: every (model, dataset, system) cell."""
-    from repro.experiments.common import SYSTEM_NAMES
     from repro.experiments.overall import improvement_summary, overall_rows
 
-    config = _config_from_args(args)
     rows = overall_rows(
         models=tuple(args.models),
         datasets=tuple(args.datasets),
@@ -220,26 +334,30 @@ def cmd_overall(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_online(args: argparse.Namespace) -> int:
+@command(
+    "online",
+    "online trace replay (Fig. 10 style)",
+    _world_args,
+    _systems_arg(),
+    _trace_args(requests=32, rate=2.0),
+    _arg(
+        "--trace-file",
+        default=None,
+        help="replay a CSV trace (timestamp,input_tokens,output_tokens) "
+        "instead of generating one",
+    ),
+)
+def cmd_online(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Cold-start online trace replay (Fig. 10 style)."""
     import numpy as np
 
-    from repro.experiments.common import (
-        SYSTEM_NAMES,
-        build_world,
-        online_trace,
-        run_system,
-    )
-    from repro.workloads.datasets import get_dataset_profile
-
-    config = _config_from_args(args)
     world = build_world(config.with_(num_requests=8))
     if args.trace_file:
         from repro.workloads.tracefile import read_trace_csv
 
         trace = read_trace_csv(
             args.trace_file,
-            profile=get_dataset_profile(args.dataset),
+            profile=DATASET_PROFILES[args.dataset],
             seed=args.seed + 10,
             max_requests=args.trace_requests,
         )
@@ -256,11 +374,17 @@ def cmd_online(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+@command(
+    "sweep",
+    "cache-budget sweep (Fig. 11 style)",
+    _world_args,
+    _arg("--limits", nargs="*", type=float, default=[6, 12, 24, 48, 96]),
+    _sweep_args,
+)
+def cmd_sweep(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """TPOT vs expert-cache budget sweep (Fig. 11 style)."""
     from repro.experiments.cache_limits import tpot_vs_cache_limit
 
-    config = _config_from_args(args)
     rows = tpot_vs_cache_limit(
         models=(args.model,),
         dataset=args.dataset,
@@ -277,7 +401,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
+@command("entropy", "entropy analysis (Fig. 3b style)", _world_args)
+def cmd_entropy(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Coarse vs fine entropy analysis (Fig. 3b style)."""
     from repro.experiments.entropy_motivation import entropy_comparison
 
@@ -297,7 +422,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pearson(args: argparse.Namespace) -> int:
+@command("pearson", "correlation analysis (Fig. 8 style)", _world_args)
+def cmd_pearson(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Similarity/hit-rate Pearson coefficients (Fig. 8 style)."""
     from repro.experiments.pearson import pearson_rows
 
@@ -317,43 +443,21 @@ def cmd_pearson(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Save a world's warm traces and/or a warm expert-map store."""
-    if not (args.traces_out or args.store_out):
-        print("nothing to do: pass --traces-out and/or --store-out")
-        return 2
-    from repro.experiments.common import build_world
-
-    config = _config_from_args(args)
-    world = build_world(config)
-    if args.traces_out:
-        from repro.core.persistence import save_traces
-
-        save_traces(world.warm_traces, args.traces_out)
-        print(f"wrote {len(world.warm_traces)} traces to {args.traces_out}")
-    if args.store_out:
-        from repro.analysis.tracking import build_store
-        from repro.core.persistence import save_store
-
-        store = build_store(
-            world.model_config,
-            world.warm_traces,
-            distance=config.prefetch_distance,
-            capacity=config.store_capacity,
-        )
-        save_store(store, args.store_out)
-        print(
-            f"wrote store with {len(store)} maps "
-            f"({store.memory_bytes() / 1e6:.1f} MB) to {args.store_out}"
-        )
-    return 0
-
-
-def cmd_grid(args: argparse.Namespace) -> int:
+@command(
+    "grid",
+    "sweep (model, dataset, system, budget) grids to CSV",
+    _world_args,
+    _names("--models", MODEL_NAMES, default=["mixtral-8x7b"]),
+    _names("--datasets", DATASET_NAMES, default=["lmsys-chat-1m"]),
+    _systems_arg(default=["fmoe", "moe-infinity"]),
+    _arg("--budgets", nargs="*", type=float, default=None),
+    _arg("--output", default=None),
+    _sweep_args,
+)
+def cmd_grid(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Sweep (model, dataset, system, budget) grids to CSV."""
     from repro.experiments.grid import grid_to_csv, run_grid
 
-    config = _config_from_args(args)
     cells = run_grid(
         models=args.models,
         datasets=args.datasets,
@@ -371,7 +475,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+@command(
+    "report",
+    "collate benchmarks/results into one markdown report",
+    _arg("--results-dir", default="benchmarks/results"),
+    _arg("--output", default="REPRODUCTION_REPORT.md"),
+)
+def cmd_report(args: argparse.Namespace, config: None) -> int:
     """Collate benchmarks/results into one markdown report."""
     from repro.experiments.report import write_report
 
@@ -380,13 +490,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
+@command(
+    "tune", "profile candidate prefetch distances (§6.1 setup)", _world_args
+)
+def cmd_tune(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Profile candidate prefetch distances (the paper's §6.1 step)."""
     from repro.core.autotune import tune_prefetch_distance
-    from repro.experiments.common import build_world
     from repro.workloads.profiler import collect_history
 
-    config = _config_from_args(args)
     world = build_world(config)
     probes = collect_history(
         world.fresh_model(), world.test_requests[: args.test_requests]
@@ -407,21 +518,26 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
+@command(
+    "faults",
+    "chaos matrix: systems under fault scenarios",
+    _world_args,
+    _systems_arg(),
+    _names(
+        "--scenarios",
+        FAULT_SCENARIO_NAMES,
+        help="subset of scenario names (default: the full matrix)",
+    ),
+    _trace_args(requests=24, rate=2.0),
+    _sweep_args,
+)
+def cmd_faults(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Chaos matrix: systems under scripted fault scenarios."""
-    from repro.experiments.faults import (
-        CHAOS_SYSTEMS,
-        chaos_rows,
-        default_scenarios,
-    )
+    from repro.experiments.faults import CHAOS_SYSTEMS, chaos_rows
 
-    config = _config_from_args(args)
-    scenarios = _pick("scenario", default_scenarios(args.seed), args.scenarios)
-    if scenarios is None:
-        return 2
     rows = chaos_rows(
         systems=tuple(args.systems or CHAOS_SYSTEMS),
-        scenarios=scenarios,
+        scenarios=_lookup(default_scenarios(config.seed), args.scenarios),
         config=config,
         trace_requests=args.trace_requests,
         rate_seconds=args.rate,
@@ -433,30 +549,28 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_faults(args: argparse.Namespace):
-    """Resolve ``--chaos`` to ``(known, cluster_faults)``.
+def _serve_cluster(
+    args: argparse.Namespace,
+    config: ExperimentConfig,
+    observers=(),
+    validate: bool = False,
+    **spec_options,
+):
+    """Replay the command's online trace through the cluster that the
+    shared cluster arguments and ``spec_options`` describe, under the
+    ``--chaos`` scenario's cluster faults when one is named."""
+    from repro.cluster import ClusterSpec, ResilienceConfig, run_cluster
 
-    ``cluster_faults`` is None when no scenario was named; an unknown
-    name prints the choices and returns ``known=False`` (exit code 2).
-    """
-    if not args.chaos:
-        return True, None
-    from repro.experiments.resilience import default_storm_scenarios
-
-    picked = _pick(
-        "chaos scenario", default_storm_scenarios(args.seed), [args.chaos]
+    spec = ClusterSpec(
+        replicas=args.replicas,
+        router=args.router,
+        resilience=ResilienceConfig() if args.resilience else None,
+        **spec_options,
     )
-    if picked is None:
-        return False, None
-    return True, picked[0].cluster_faults
-
-
-def _serve_cluster(args: argparse.Namespace, spec, cluster_faults, **kwargs):
-    """Replay the command's online trace through a ``spec`` cluster."""
-    from repro.cluster import run_cluster
-    from repro.experiments.common import build_world, online_trace
-
-    config = _config_from_args(args)
+    cluster_faults = None
+    if args.chaos:
+        (chaos,) = _lookup(default_storm_scenarios(config.seed), [args.chaos])
+        cluster_faults = chaos.cluster_faults
     trace = online_trace(
         config, args.trace_requests, args.rate, seed_offset=10
     )
@@ -466,24 +580,73 @@ def _serve_cluster(args: argparse.Namespace, spec, cluster_faults, **kwargs):
         spec,
         requests=trace,
         cluster_faults=cluster_faults,
-        **kwargs,
+        validate=validate,
+        observers=observers,
     )
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
+@command(
+    "cluster",
+    "multi-replica cluster simulation with affinity routing",
+    _world_args,
+    _replica_args,
+    _flag(
+        "--shared-store",
+        "share one expert-map store across every fmoe replica",
+    ),
+    _flag(
+        "--cold",
+        "skip warm-up so per-replica stores diverge (what "
+        "semantic-affinity routing exploits)",
+    ),
+    _flag(
+        "--autoscale", "enable the queue-depth autoscaler (drain-before-kill)"
+    ),
+    _flag(
+        "--compare",
+        "run the router x replica-count comparison grid instead "
+        "of one cluster",
+    ),
+    _arg(
+        "--replica-counts",
+        nargs="*",
+        type=int,
+        default=[1, 2, 4],
+        help="replica counts for --compare",
+    ),
+    _chaos_args,
+    _arg(
+        "--profiles",
+        nargs="*",
+        default=None,
+        choices=tuple(REPLICA_PROFILES),
+        help="per-replica hardware profile names (replica i uses "
+        "profiles[i %% len]); e.g. fast-nvlink slow-pcie3",
+    ),
+    _arg(
+        "--placement",
+        default=None,
+        choices=PLACEMENT_NAMES,
+        help="pre-warm each replica's expert cache from a placement plan",
+    ),
+    _trace_args(requests=24, rate=1.0),
+    _arg("--out", default=None, help="write the cluster report JSON here"),
+    _sweep_args,
+)
+def cmd_cluster(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Multi-replica cluster simulation with pluggable routing."""
     from repro.cluster import (
         AutoscalerConfig,
-        ClusterSpec,
-        ResilienceConfig,
+        cluster_report_to_dict,
         cluster_report_to_json,
     )
     from repro.experiments.cluster_scaling import cluster_scaling_rows
+    from repro.obs.inspect import inspect_cluster_report
 
     if args.compare:
         rows = cluster_scaling_rows(
             replica_counts=tuple(args.replica_counts),
-            config=_config_from_args(args),
+            config=config,
             system=args.system,
             trace_requests=args.trace_requests,
             rate_seconds=args.rate,
@@ -498,96 +661,47 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         autoscaler = AutoscalerConfig(
             max_replicas=max(args.replicas, AutoscalerConfig().max_replicas)
         )
-    known, cluster_faults = _chaos_faults(args)
-    if not known:
-        return 2
     profiles = None
     if args.profiles:
         profiles = tuple(REPLICA_PROFILES[name] for name in args.profiles)
-    spec = ClusterSpec(
-        replicas=args.replicas,
-        router=args.router,
+    report = _serve_cluster(
+        args,
+        config,
+        validate=args.validate,
         shared_store=args.shared_store,
         warm=not args.cold,
         autoscaler=autoscaler,
-        resilience=ResilienceConfig() if args.resilience else None,
         profiles=profiles,
         placement=args.placement,
     )
-    report = _serve_cluster(args, spec, cluster_faults, validate=args.validate)
-    print(
-        f"{args.system} x{args.replicas} router={args.router}: "
-        f"routed={report.routed} served={len(report.aggregate.requests)} "
-        f"shed={report.shed_requests}"
-    )
-    print(
-        f"  hit={report.hit_rate:.4f} "
-        f"affinity={report.affinity_hit_rate:.3f} "
-        f"imbalance={report.load_imbalance():.3f} "
-        f"ttft={report.mean_ttft():.2f}s "
-        f"p95={report.percentile_latency(95):.2f}s"
-    )
-    for summary in report.replicas:
-        state = (
-            "crashed"
-            if summary.crashed
-            else "retired"
-            if summary.retired
-            else "draining" if summary.draining else "active"
-        )
-        print(
-            f"  replica {summary.replica_id}: {summary.assigned} assigned, "
-            f"{summary.served} served, hit={summary.hit_rate:.4f}, "
-            f"{state}"
-        )
-    if report.resilience is not None:
-        res = report.resilience
-        print(
-            f"  resilience: shed={res.total_shed} failed={res.failed} "
-            f"retries={res.retry_dispatches}/{res.retry_budget_limit} "
-            f"hedges={res.hedges} (won {res.hedge_wins}) "
-            f"breaker_opens={res.breaker_opens} "
-            f"crashes={res.crashes} restarts={res.restarts} "
-            f"lost={res.lost_in_flight}"
-        )
-    if report.fleet is not None:
-        fleet = report.fleet
-        names = "/".join(row["profile"] for row in fleet.profiles)
-        print(
-            f"  fleet: {names} ${fleet.dollars_per_hour:.2f}/h "
-            f"placement={fleet.placement} "
-            f"cost={fleet.placement_cost:.4f} "
-            f"(seed {fleet.placement_seed_cost:.4f}) "
-            f"preloaded={sum(r['preloaded'] for r in fleet.profiles)}"
-        )
-    if report.scale_events:
-        for event in report.scale_events:
-            print(
-                f"  t={event.time:8.2f}s scale:{event.action} "
-                f"replica={event.replica_id} "
-                f"outstanding={event.outstanding}"
-            )
+    # The rendering `repro inspect` gives the report --out writes.
+    print(inspect_cluster_report(cluster_report_to_dict(report)))
     if args.out is not None:
         cluster_report_to_json(report, args.out)
         print(f"  report written to {args.out}")
     return 0
 
 
-def cmd_storm_lite(args: argparse.Namespace) -> int:
+@command(
+    "storm-lite",
+    "resilience off vs. on under cluster-scope chaos",
+    _world_args,
+    _system_arg,
+    _names(
+        "--scenarios",
+        STORM_SCENARIO_NAMES,
+        help="subset of storm scenario names (default: the full storm)",
+    ),
+    _trace_args(requests=24, rate=1.5),
+    _deadline_arg(default=3.0),
+    _sweep_args,
+)
+def cmd_storm_lite(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Storm-lite: resilience off vs. on under cluster-scope chaos."""
-    from repro.experiments.resilience import (
-        default_storm_scenarios,
-        storm_rows,
-    )
-
-    config = _config_from_args(args)
-    scenarios = _pick(
-        "scenario", default_storm_scenarios(args.seed), args.scenarios
-    )
-    if scenarios is None:
-        return 2
     rows = storm_rows(
-        scenarios=scenarios,
+        scenarios=_lookup(
+            default_storm_scenarios(config.seed), args.scenarios
+        ),
         config=config,
         system=args.system,
         trace_requests=args.trace_requests,
@@ -601,11 +715,46 @@ def cmd_storm_lite(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_storm(args: argparse.Namespace) -> int:
+@command(
+    "storm",
+    "multi-tenant traffic storm: full-day census + "
+    "priority-aware simulation window per scale",
+    _world_args,
+    _system_arg,
+    _arg(
+        "--scales",
+        nargs="*",
+        default=["10k", "100k", "1m"],
+        help="offered-request scales (10k/100k/1m style, or plain counts)",
+    ),
+    _arg(
+        "--sim-requests",
+        type=int,
+        default=256,
+        help="arrivals from the start of each day replayed through the "
+        "cluster (the census always streams the whole day)",
+    ),
+    _arg("--replicas", type=int, default=2),
+    _arg(
+        "--admission-rate",
+        type=float,
+        default=4.0,
+        help="token-bucket admission rate shared by all scales; fixed "
+        "so higher scales overload naturally",
+    ),
+    _arg("--admission-burst", type=int, default=8),
+    _deadline_arg(default=3.0),
+    _arg(
+        "--bench-out",
+        default=None,
+        help="write the storm as JSON (e.g. benchmarks/BENCH_storm.json)",
+    ),
+    _sweep_args,
+)
+def cmd_storm(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Multi-tenant storm: census + priority-aware window per scale."""
     from repro.experiments.storm import storm_results
 
-    config = _config_from_args(args)
     results = storm_results(
         config=config,
         scales=args.scales,
@@ -647,18 +796,30 @@ def cmd_storm(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
+@command(
+    "fleet",
+    "heterogeneous fleet sweep: SLO-per-dollar, "
+    "uniform vs. cost-aware placement + routing",
+    _world_args,
+    _system_arg,
+    _names(
+        "--shapes",
+        FLEET_SHAPE_NAMES,
+        help="subset of fleet shape names (default: all three)",
+    ),
+    _trace_args(requests=24, rate=1.0),
+    _deadline_arg(default=1.0),
+    _arg(
+        "--bench-out",
+        default=None,
+        help="write the sweep as JSON (e.g. benchmarks/BENCH_fleet.json)",
+    ),
+    _sweep_args,
+)
+def cmd_fleet(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Heterogeneous fleet sweep: SLO-per-dollar, uniform vs. cost-aware."""
-    from dataclasses import asdict
-
-    from repro.experiments.fleet import default_fleet_shapes, fleet_rows
-
-    config = _config_from_args(args)
-    shapes = _pick("shape", default_fleet_shapes(), args.shapes)
-    if shapes is None:
-        return 2
     rows = fleet_rows(
-        shapes=shapes,
+        shapes=_lookup(default_fleet_shapes(), args.shapes),
         config=config,
         system=args.system,
         trace_requests=args.trace_requests,
@@ -693,49 +854,68 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one policy with full telemetry; write trace + metrics files."""
-    from repro.obs.runner import run_traced
+@command(
+    "profile",
+    "profile a workload: save its warm traces and/or a warm store",
+    _world_args,
+    _arg("--traces-out", default=None),
+    _arg("--store-out", default=None),
+)
+def cmd_profile(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    """Save a world's warm traces and/or a warm expert-map store."""
+    if not (args.traces_out or args.store_out):
+        print("nothing to do: pass --traces-out and/or --store-out")
+        return 2
+    world = build_world(config)
+    if args.traces_out:
+        from repro.core.persistence import save_traces
 
-    config = _config_from_args(args)
-    result = run_traced(
-        config,
-        args.policy,
-        args.out_dir,
-        online=args.online,
-        trace_requests=args.trace_requests,
-        rate_seconds=args.rate,
-        sample_interval_seconds=args.sample_interval,
-    )
-    report = result.report
-    print(
-        f"{args.policy}: {len(report.requests)} requests, "
-        f"{report.iterations} iterations, hit={report.hit_rate:.3f}, "
-        f"dropped_events={report.events_dropped}"
-    )
-    for name, path in sorted(result.paths.items()):
-        print(f"  {name:13s} {path}")
-    print(f"open {result.paths['trace']} in chrome://tracing or Perfetto")
+        save_traces(world.warm_traces, args.traces_out)
+        print(f"wrote {len(world.warm_traces)} traces to {args.traces_out}")
+    if args.store_out:
+        from repro.analysis.tracking import build_store
+        from repro.core.persistence import save_store
+
+        store = build_store(
+            world.model_config,
+            world.warm_traces,
+            distance=config.prefetch_distance,
+            capacity=config.store_capacity,
+        )
+        save_store(store, args.store_out)
+        print(
+            f"wrote store with {len(store)} maps "
+            f"({store.memory_bytes() / 1e6:.1f} MB) to {args.store_out}"
+        )
     return 0
 
 
-def cmd_inspect(args: argparse.Namespace) -> int:
-    """Summarize a recorded trace directory (or trace file)."""
-    from repro.obs.inspect import inspect_path
-
-    print(inspect_path(args.path, top=args.top))
-    return 0
-
-
-def cmd_journeys(args: argparse.Namespace) -> int:
+@command(
+    "journeys",
+    "per-request journeys with critical-path attribution",
+    _world_args,
+    _replica_args,
+    _chaos_args,
+    _trace_args(requests=24, rate=1.0),
+    _arg(
+        "--sample-interval",
+        type=float,
+        default=1.0,
+        help="fleet time-series cadence, virtual seconds",
+    ),
+    _arg("--top", type=int, default=5),
+    _arg("--slo-objective", type=float, default=0.9),
+    _arg("--slo-deadline", type=float, default=1.0),
+    _arg(
+        "--out-dir",
+        default=None,
+        help="write journeys.jsonl / fleet.jsonl / fleet.csv / "
+        "cluster_report.json here",
+    ),
+)
+def cmd_journeys(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """Per-request journeys with critical-path attribution."""
-    from pathlib import Path
-
-    from repro.cluster import (
-        ClusterSpec,
-        ResilienceConfig,
-        cluster_report_to_json,
-    )
+    from repro.cluster import cluster_report_to_json
     from repro.obs import (
         FleetSeries,
         JourneyRecorder,
@@ -744,21 +924,13 @@ def cmd_journeys(args: argparse.Namespace) -> int:
         render_slo_summary,
     )
 
-    known, cluster_faults = _chaos_faults(args)
-    if not known:
-        return 2
-    spec = ClusterSpec(
-        replicas=args.replicas,
-        router=args.router,
-        resilience=ResilienceConfig() if args.resilience else None,
-    )
     journeys = JourneyRecorder()
     fleet = FleetSeries(interval_seconds=args.sample_interval)
     slo_tracker = SLOTracker(
         objective=args.slo_objective, deadline_seconds=args.slo_deadline
     )
     report = _serve_cluster(
-        args, spec, cluster_faults, observers=[journeys, fleet, slo_tracker]
+        args, config, observers=[journeys, fleet, slo_tracker]
     )
     print(render_journeys(journeys.ordered(), top=args.top))
     print()
@@ -780,11 +952,21 @@ def cmd_journeys(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_slo(args: argparse.Namespace) -> int:
+@command(
+    "slo",
+    "burn-rate alerting summary from a saved cluster report",
+    _arg("report", help="cluster report JSON (repro cluster --out)"),
+    _arg("--objective", type=float, default=0.9),
+    _arg("--deadline", type=float, default=1.0),
+    _arg(
+        "--window-scale",
+        type=float,
+        default=1.0,
+        help="scale factor applied to the default burn-rate windows",
+    ),
+)
+def cmd_slo(args: argparse.Namespace, config: None) -> int:
     """Replay burn-rate alerting over a saved cluster report."""
-    import json
-    from pathlib import Path
-
     from repro.obs.slo import (
         default_burn_rules,
         render_slo_summary,
@@ -813,11 +995,101 @@ def cmd_slo(args: argparse.Namespace) -> int:
     return 2
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    """Validate the simulator: invariants, laws, and mutant detection."""
-    import json
-    from pathlib import Path
+@command(
+    "trace",
+    "run one policy with full telemetry; write trace + metrics",
+    _world_args,
+    _arg(
+        "--policy",
+        default="fmoe",
+        type=_prefix_choice(POLICY_NAMES),
+        help="system to trace (unambiguous prefixes accepted)",
+    ),
+    _arg(
+        "--out-dir",
+        required=True,
+        help="directory for trace.json / metrics.prom / metrics.jsonl / "
+        "events.jsonl / report.json",
+    ),
+    _flag(
+        "--online",
+        "replay a generated arrival trace (queueing included) "
+        "instead of serving the offline test set",
+    ),
+    _trace_args(requests=16, rate=2.0),
+    _arg(
+        "--sample-interval",
+        type=float,
+        default=0.05,
+        help="virtual seconds between metric time-series samples",
+    ),
+)
+def cmd_trace(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    """Run one policy with full telemetry; write trace + metrics files."""
+    from repro.obs.runner import run_traced
 
+    result = run_traced(
+        config,
+        args.policy,
+        args.out_dir,
+        online=args.online,
+        trace_requests=args.trace_requests,
+        rate_seconds=args.rate,
+        sample_interval_seconds=args.sample_interval,
+    )
+    report = result.report
+    print(
+        f"{args.policy}: {len(report.requests)} requests, "
+        f"{report.iterations} iterations, hit={report.hit_rate:.3f}, "
+        f"dropped_events={report.events_dropped}"
+    )
+    for name, path in sorted(result.paths.items()):
+        print(f"  {name:13s} {path}")
+    print(f"open {result.paths['trace']} in chrome://tracing or Perfetto")
+    return 0
+
+
+@command(
+    "inspect",
+    "summarize a recorded trace directory",
+    _arg("path", help="trace directory (or trace.json file)"),
+    _arg("--top", type=int, default=5),
+)
+def cmd_inspect(args: argparse.Namespace, config: None) -> int:
+    """Summarize a recorded trace directory (or trace file)."""
+    from repro.obs.inspect import inspect_path
+
+    print(inspect_path(args.path, top=args.top))
+    return 0
+
+
+@command(
+    "validate",
+    "validate the simulator: invariants, laws, mutant detection",
+    _arg(
+        "--tier",
+        default="fast",
+        choices=("fast", "full"),
+        help="fast = monitored runs + cheap laws; full adds every "
+        "system, faulted/continuous/cluster runs, and mutant detection",
+    ),
+    _names(
+        "--models",
+        MODEL_NAMES,
+        default=["mixtral-8x7b", "qwen1.5-moe"],
+        help="models to validate (each gets its own world and report)",
+    ),
+    _dataset_arg,
+    _arg("--requests", type=int, default=14),
+    _arg("--test-requests", type=int, default=3),
+    _arg("--seed", type=int, default=0),
+    _flag("--mutants", "force mutant detection even on the fast tier"),
+    _flag("--no-mutants", "skip mutant detection even on the full tier"),
+    _arg("--json", default=None, help="write the validation reports here"),
+    _jobs_arg,
+)
+def cmd_validate(args: argparse.Namespace, config: None) -> int:
+    """Validate the simulator: invariants, laws, and mutant detection."""
     from repro.validate import validate_model, validation_config
 
     include_mutants = None
@@ -827,15 +1099,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
         include_mutants = False
     reports = []
     for model in args.models:
-        config = validation_config(
-            model,
-            dataset=args.dataset,
-            num_requests=args.requests,
-            num_test_requests=args.test_requests,
-            seed=args.seed,
-        )
         report = validate_model(
-            config,
+            validation_config(
+                model,
+                dataset=args.dataset,
+                num_requests=args.requests,
+                num_test_requests=args.test_requests,
+                seed=args.seed,
+            ),
             tier=args.tier,
             jobs=args.jobs,
             include_mutants=include_mutants,
@@ -857,432 +1128,34 @@ def cmd_validate(args: argparse.Namespace) -> int:
             detectors = ", ".join(mutant.detectors) or "undetected"
             print(f"  {mark} mutant:{mutant.name} ({detectors})")
     if args.json:
-        payload = json.dumps([r.to_dict() for r in reports], indent=2)
-        Path(args.json).write_text(payload + "\n")
-        print(f"wrote {args.json}")
+        # Each report keeps its to_dict() field order, unsorted.
+        payload = [r.to_dict() for r in reports]
+        _write_json(args.json, payload, sort_keys=False)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse parser with all subcommands."""
+    """Construct the argparse parser from :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="fMoE reproduction: fine-grained expert offloading",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("models", help="print Table-1 model characteristics")
-    p.set_defaults(func=cmd_models)
-
-    p = sub.add_parser("compare", help="offline comparison (Fig. 9 style)")
-    _add_world_args(p)
-    p.add_argument("--systems", nargs="*", default=None)
-    p.add_argument(
-        "--chart", action="store_true", help="render terminal bar charts"
-    )
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser(
-        "overall", help="full Fig. 9 (model x dataset x system) table"
-    )
-    _add_world_args(p)
-    p.add_argument(
-        "--models",
-        nargs="*",
-        default=["mixtral-8x7b", "qwen1.5-moe", "phi-3.5-moe"],
-    )
-    p.add_argument(
-        "--datasets", nargs="*", default=["lmsys-chat-1m", "sharegpt"]
-    )
-    p.add_argument("--systems", nargs="*", default=None)
-    p.add_argument(
-        "--summary",
-        action="store_true",
-        help="print fMoE's mean improvement over each baseline",
-    )
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_overall)
-
-    p = sub.add_parser("online", help="online trace replay (Fig. 10 style)")
-    _add_world_args(p)
-    p.add_argument("--systems", nargs="*", default=None)
-    p.add_argument("--trace-requests", type=int, default=32)
-    p.add_argument("--rate", type=float, default=2.0)
-    p.add_argument(
-        "--trace-file",
-        default=None,
-        help="replay a CSV trace (timestamp,input_tokens,output_tokens) "
-        "instead of generating one",
-    )
-    p.set_defaults(func=cmd_online)
-
-    p = sub.add_parser("sweep", help="cache-budget sweep (Fig. 11 style)")
-    _add_world_args(p)
-    p.add_argument(
-        "--limits", nargs="*", type=float, default=[6, 12, 24, 48, 96]
-    )
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("entropy", help="entropy analysis (Fig. 3b style)")
-    _add_world_args(p)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("pearson", help="correlation analysis (Fig. 8 style)")
-    _add_world_args(p)
-    p.set_defaults(func=cmd_pearson)
-
-    p = sub.add_parser(
-        "grid", help="sweep (model, dataset, system, budget) grids to CSV"
-    )
-    _add_world_args(p)
-    p.add_argument("--models", nargs="*", default=["mixtral-8x7b"])
-    p.add_argument("--datasets", nargs="*", default=["lmsys-chat-1m"])
-    p.add_argument(
-        "--systems",
-        nargs="*",
-        default=["fmoe", "moe-infinity"],
-    )
-    p.add_argument("--budgets", nargs="*", type=float, default=None)
-    p.add_argument("--output", default=None)
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_grid)
-
-    p = sub.add_parser(
-        "report", help="collate benchmarks/results into one markdown report"
-    )
-    p.add_argument("--results-dir", default="benchmarks/results")
-    p.add_argument("--output", default="REPRODUCTION_REPORT.md")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser(
-        "tune", help="profile candidate prefetch distances (§6.1 setup)"
-    )
-    _add_world_args(p)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser(
-        "faults", help="chaos matrix: systems under fault scenarios"
-    )
-    _add_world_args(p)
-    p.add_argument("--systems", nargs="*", default=None)
-    p.add_argument(
-        "--scenarios",
-        nargs="*",
-        default=None,
-        help="subset of scenario names (default: the full matrix)",
-    )
-    p.add_argument("--trace-requests", type=int, default=24)
-    p.add_argument("--rate", type=float, default=2.0)
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_faults)
-
-    p = sub.add_parser(
-        "cluster",
-        help="multi-replica cluster simulation with affinity routing",
-    )
-    _add_world_args(p)
-    p.add_argument("--replicas", type=int, default=2)
-    p.add_argument(
-        "--router",
-        default="round-robin",
-        type=_prefix_choice(ROUTER_NAMES),
-        help="placement policy (unambiguous prefixes accepted)",
-    )
-    _add_system_arg(p)
-    p.add_argument(
-        "--shared-store",
-        action="store_true",
-        help="share one expert-map store across every fmoe replica",
-    )
-    p.add_argument(
-        "--cold",
-        action="store_true",
-        help="skip warm-up so per-replica stores diverge (what "
-        "semantic-affinity routing exploits)",
-    )
-    p.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="enable the queue-depth autoscaler (drain-before-kill)",
-    )
-    p.add_argument(
-        "--compare",
-        action="store_true",
-        help="run the router x replica-count comparison grid instead "
-        "of one cluster",
-    )
-    p.add_argument(
-        "--replica-counts",
-        nargs="*",
-        type=int,
-        default=[1, 2, 4],
-        help="replica counts for --compare",
-    )
-    p.add_argument(
-        "--chaos",
-        default=None,
-        help="subject the fleet to a named storm scenario "
-        "(see `repro storm-lite`)",
-    )
-    p.add_argument(
-        "--resilience",
-        action="store_true",
-        help="enable the cluster resilience layer (admission control, "
-        "degradation ladder, retry budgets, circuit breakers)",
-    )
-    p.add_argument(
-        "--profiles",
-        nargs="*",
-        default=None,
-        choices=tuple(REPLICA_PROFILES),
-        help="per-replica hardware profile names (replica i uses "
-        "profiles[i %% len]); e.g. fast-nvlink slow-pcie3",
-    )
-    p.add_argument(
-        "--placement",
-        default=None,
-        choices=PLACEMENT_NAMES,
-        help="pre-warm each replica's expert cache from a placement plan",
-    )
-    p.add_argument("--trace-requests", type=int, default=24)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument(
-        "--out", default=None, help="write the cluster report JSON here"
-    )
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser(
-        "storm-lite",
-        help="resilience off vs. on under cluster-scope chaos",
-    )
-    _add_world_args(p)
-    _add_system_arg(p)
-    p.add_argument(
-        "--scenarios",
-        nargs="*",
-        default=None,
-        help="subset of storm scenario names (default: the full storm)",
-    )
-    p.add_argument("--trace-requests", type=int, default=24)
-    p.add_argument("--rate", type=float, default=1.5)
-    _add_deadline_arg(p, default=3.0)
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_storm_lite)
-
-    p = sub.add_parser(
-        "storm",
-        help="multi-tenant traffic storm: full-day census + "
-        "priority-aware simulation window per scale",
-    )
-    _add_world_args(p)
-    _add_system_arg(p)
-    p.add_argument(
-        "--scales",
-        nargs="*",
-        default=["10k", "100k", "1m"],
-        help="offered-request scales (10k/100k/1m style, or plain counts)",
-    )
-    p.add_argument(
-        "--sim-requests",
-        type=int,
-        default=256,
-        help="arrivals from the start of each day replayed through the "
-        "cluster (the census always streams the whole day)",
-    )
-    p.add_argument("--replicas", type=int, default=2)
-    p.add_argument(
-        "--admission-rate",
-        type=float,
-        default=4.0,
-        help="token-bucket admission rate shared by all scales; fixed "
-        "so higher scales overload naturally",
-    )
-    p.add_argument("--admission-burst", type=int, default=8)
-    _add_deadline_arg(p, default=3.0)
-    p.add_argument(
-        "--bench-out",
-        default=None,
-        help="write the storm as JSON (e.g. benchmarks/BENCH_storm.json)",
-    )
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_storm)
-
-    p = sub.add_parser(
-        "fleet",
-        help="heterogeneous fleet sweep: SLO-per-dollar, "
-        "uniform vs. cost-aware placement + routing",
-    )
-    _add_world_args(p)
-    _add_system_arg(p)
-    p.add_argument(
-        "--shapes",
-        nargs="*",
-        default=None,
-        help="subset of fleet shape names (default: all three)",
-    )
-    p.add_argument("--trace-requests", type=int, default=24)
-    p.add_argument("--rate", type=float, default=1.0)
-    _add_deadline_arg(p, default=1.0)
-    p.add_argument(
-        "--bench-out",
-        default=None,
-        help="write the sweep as JSON (e.g. benchmarks/BENCH_fleet.json)",
-    )
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_fleet)
-
-    p = sub.add_parser(
-        "profile",
-        help="profile a workload: save its warm traces and/or a warm store",
-    )
-    _add_world_args(p)
-    p.add_argument("--traces-out", default=None)
-    p.add_argument("--store-out", default=None)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "journeys",
-        help="per-request journeys with critical-path attribution",
-    )
-    _add_world_args(p)
-    p.add_argument("--replicas", type=int, default=2)
-    p.add_argument(
-        "--router",
-        default="round-robin",
-        type=_prefix_choice(ROUTER_NAMES),
-    )
-    _add_system_arg(p)
-    p.add_argument(
-        "--chaos",
-        default=None,
-        help="subject the fleet to a named storm scenario",
-    )
-    p.add_argument(
-        "--resilience",
-        action="store_true",
-        help="enable the cluster resilience layer",
-    )
-    p.add_argument("--trace-requests", type=int, default=24)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument(
-        "--sample-interval",
-        type=float,
-        default=1.0,
-        help="fleet time-series cadence, virtual seconds",
-    )
-    p.add_argument("--top", type=int, default=5)
-    p.add_argument("--slo-objective", type=float, default=0.9)
-    p.add_argument("--slo-deadline", type=float, default=1.0)
-    p.add_argument(
-        "--out-dir",
-        default=None,
-        help="write journeys.jsonl / fleet.jsonl / fleet.csv / "
-        "cluster_report.json here",
-    )
-    p.set_defaults(func=cmd_journeys)
-
-    p = sub.add_parser(
-        "slo",
-        help="burn-rate alerting summary from a saved cluster report",
-    )
-    p.add_argument("report", help="cluster report JSON (repro cluster --out)")
-    p.add_argument("--objective", type=float, default=0.9)
-    p.add_argument("--deadline", type=float, default=1.0)
-    p.add_argument(
-        "--window-scale",
-        type=float,
-        default=1.0,
-        help="scale factor applied to the default burn-rate windows",
-    )
-    p.set_defaults(func=cmd_slo)
-
-    p = sub.add_parser(
-        "trace",
-        help="run one policy with full telemetry; write trace + metrics",
-    )
-    _add_world_args(p)
-    p.add_argument(
-        "--policy",
-        default="fmoe",
-        type=_prefix_choice(POLICY_NAMES),
-        help="system to trace (unambiguous prefixes accepted)",
-    )
-    p.add_argument(
-        "--out-dir",
-        required=True,
-        help="directory for trace.json / metrics.prom / metrics.jsonl / "
-        "events.jsonl / report.json",
-    )
-    p.add_argument(
-        "--online",
-        action="store_true",
-        help="replay a generated arrival trace (queueing included) "
-        "instead of serving the offline test set",
-    )
-    p.add_argument("--trace-requests", type=int, default=16)
-    p.add_argument("--rate", type=float, default=2.0)
-    p.add_argument(
-        "--sample-interval",
-        type=float,
-        default=0.05,
-        help="virtual seconds between metric time-series samples",
-    )
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "inspect", help="summarize a recorded trace directory"
-    )
-    p.add_argument("path", help="trace directory (or trace.json file)")
-    p.add_argument("--top", type=int, default=5)
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser(
-        "validate",
-        help="validate the simulator: invariants, laws, mutant detection",
-    )
-    p.add_argument(
-        "--tier",
-        default="fast",
-        choices=("fast", "full"),
-        help="fast = monitored runs + cheap laws; full adds every "
-        "system, faulted/continuous/cluster runs, and mutant detection",
-    )
-    p.add_argument(
-        "--models",
-        nargs="*",
-        default=["mixtral-8x7b", "qwen1.5-moe"],
-        help="models to validate (each gets its own world and report)",
-    )
-    _add_dataset_arg(p)
-    p.add_argument("--requests", type=int, default=14)
-    p.add_argument("--test-requests", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--mutants",
-        action="store_true",
-        help="force mutant detection even on the fast tier",
-    )
-    p.add_argument(
-        "--no-mutants",
-        action="store_true",
-        help="skip mutant detection even on the full tier",
-    )
-    p.add_argument(
-        "--json", default=None, help="write the validation reports here"
-    )
-    _add_jobs_arg(p)
-    p.set_defaults(func=cmd_validate)
-
+    for entry in COMMANDS:
+        p = sub.add_parser(entry.name, help=entry.help)
+        for group in entry.groups:
+            group(p)
+        p.set_defaults(func=entry.handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    entry = next(c for c in COMMANDS if c.name == args.command)
+    world = _world_args in entry.groups
+    config = _config_from_args(args) if world else None
+    return entry.handler(args, config)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -96,10 +96,19 @@ class World:
     model_config: MoEModelConfig
     warm_traces: list[RequestTrace]
     test_requests: list[Request]
+    model: MoEModel | None = field(default=None, repr=False, compare=False)
 
     def fresh_model(self) -> MoEModel:
-        """A new model instance (same seed: same routing archetypes)."""
-        return MoEModel(self.model_config, seed=self.config.seed)
+        """The world's model, built on first use and shared afterwards.
+
+        Its routing archetypes depend only on (model config, seed) and a
+        model holds no run state (each request session owns its RNG), so
+        every engine of the world serves from one instance; its arrays
+        are read-only.
+        """
+        if self.model is None:
+            self.model = MoEModel(self.model_config, seed=self.config.seed)
+        return self.model
 
 
 def build_world(config: ExperimentConfig) -> World:
@@ -119,6 +128,7 @@ def build_world(config: ExperimentConfig) -> World:
         model_config=model_config,
         warm_traces=warm_traces,
         test_requests=test,
+        model=model,
     )
 
 

@@ -83,9 +83,9 @@ class WorldCache:
     the cached materialization rebound to the requested config, so two
     configs differing only in serving knobs (budget, prefetch distance,
     store capacity, hardware) share one profiled world.  Worlds are
-    treated as immutable by the serving path (requests are frozen and
-    every run gets a fresh model and policy), which is what makes the
-    sharing safe.
+    treated as immutable by the serving path (requests are frozen, the
+    shared model's arrays are read-only, and every run gets a fresh
+    policy), which is what makes the sharing safe.
     """
 
     def __init__(self) -> None:
@@ -122,6 +122,7 @@ class WorldCache:
             model_config=world.model_config,
             warm_traces=world.warm_traces,
             test_requests=world.test_requests,
+            model=world.fresh_model(),
         )
 
 

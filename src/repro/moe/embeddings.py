@@ -38,6 +38,7 @@ class EmbeddingModel:
         rng = np.random.default_rng(seed)
         centers = rng.standard_normal((num_clusters, dim))
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        centers.flags.writeable = False  # shared by every engine's model
         self._centers = centers
 
     @property

@@ -132,6 +132,9 @@ class SyntheticGate:
         self._prompt_projection = proj_rng.standard_normal(
             (config.embedding_dim, config.num_layers, config.experts_per_layer)
         )
+        # Every engine of a world shares one model: no array may change.
+        self._archetypes.flags.writeable = False
+        self._prompt_projection.flags.writeable = False
 
     def _walk(self, rng: np.random.Generator, length: int) -> np.ndarray:
         """A slow random walk over expert indices (one peak per layer)."""

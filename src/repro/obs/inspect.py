@@ -12,8 +12,10 @@ can be summarized without re-running the simulation:
 
 Pointing it at a :class:`~repro.cluster.metrics.ClusterReport` JSON
 (``repro cluster --out``) instead renders the fleet view: a per-replica
-summary table, load-imbalance CV, resilience counters, and the SLO
-burn-rate section when present.
+summary table, load-imbalance CV and affinity hit rate, plus the
+resilience counters, heterogeneous-fleet line, scale events and SLO
+burn-rate section when present.  ``repro cluster`` prints the same
+rendering for the run it just served.
 """
 
 from __future__ import annotations
@@ -195,8 +197,10 @@ def inspect_cluster_report(payload: dict) -> str:
         f"cluster: system={payload.get('system')} "
         f"router={payload.get('router')} routed={payload.get('routed')} "
         f"served={payload.get('served')} "
+        f"shed={payload.get('shed_requests', 0)} "
         f"final_replicas={payload.get('final_replicas')}",
-        f"hit_rate={payload.get('hit_rate', 0.0):.3f} "
+        f"hit_rate={payload.get('hit_rate', 0.0):.4f} "
+        f"affinity_hit_rate={payload.get('affinity_hit_rate', 0.0):.3f} "
         f"mean_ttft={payload.get('mean_ttft_seconds', 0.0):.4f}s "
         f"p95_e2e={payload.get('p95_e2e_seconds', 0.0):.4f}s "
         f"load_imbalance_cv={payload.get('load_imbalance', 0.0):.3f}",
@@ -218,7 +222,7 @@ def inspect_cluster_report(payload: dict) -> str:
                 str(r.get("assigned")),
                 str(r.get("served")),
                 str(r.get("shed_requests")),
-                f"{r.get('hit_rate', 0.0):.3f}",
+                f"{r.get('hit_rate', 0.0):.4f}",
                 f"{r.get('mean_ttft_seconds', 0.0):.4f}",
                 f"{r.get('p95_e2e_seconds', 0.0):.4f}",
                 status,
@@ -251,6 +255,7 @@ def inspect_cluster_report(payload: dict) -> str:
                 "shed_replica",
                 "failed",
                 "retry_dispatches",
+                "retry_budget_limit",
                 "hedges",
                 "hedge_wins",
                 "hedges_cancelled",
@@ -262,6 +267,27 @@ def inspect_cluster_report(payload: dict) -> str:
             )
         ]
         lines += format_table(["counter", "value"], rows)
+    fleet = payload.get("fleet")
+    if fleet is not None:
+        names = "/".join(row["profile"] for row in fleet["profiles"])
+        preloaded = sum(row["preloaded"] for row in fleet["profiles"])
+        lines += [
+            "",
+            "== fleet ==",
+            f"{names} ${fleet['dollars_per_hour']:.2f}/h "
+            f"placement={fleet['placement']} "
+            f"cost={fleet['placement_cost']:.4f} "
+            f"(seed {fleet['placement_seed_cost']:.4f}) "
+            f"preloaded={preloaded}",
+        ]
+    events = payload.get("scale_events")
+    if events:
+        lines += ["", "== scale events =="]
+        lines += [
+            f"t={e['time']:8.2f}s scale:{e['action']} "
+            f"replica={e['replica_id']} outstanding={e['outstanding']}"
+            for e in events
+        ]
     slo = payload.get("slo")
     if slo is not None:
         from repro.obs.slo import render_slo_summary

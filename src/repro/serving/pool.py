@@ -46,10 +46,9 @@ class EvictionOracle(Protocol):
 
     returning every expert's score indexed by flat ``layer *
     experts_per_layer + expert`` (or None to decline).  The pool uses it
-    to pick a single victim without one scoring call per candidate;
-    oracles that lack or decline it (the baselines, fMoE's lru/lfu
-    ablations), and multi-victim evictions, use the per-candidate
-    :meth:`eviction_priority` sort.
+    to pick its victim without one scoring call per candidate; oracles
+    that lack or decline it (the baselines, fMoE's lru/lfu ablations)
+    are asked for :meth:`eviction_priority` once per candidate.
     """
 
     def eviction_priority(self, expert: ExpertId, now: float) -> float:
@@ -309,7 +308,7 @@ class ExpertPool:
         if expert in self._tasks:
             return "present"
         device = self.device_of(expert)
-        if not self._make_space(device, self._expert_bytes, issue_time):
+        if not self._make_space(device, issue_time):
             self.stats.prefetch_rejected += 1
             return "rejected"
         try:
@@ -341,9 +340,7 @@ class ExpertPool:
         if expert in self._tasks:
             return True
         device = self.device_of(expert)
-        if not self._make_space(
-            device, self._expert_bytes, now, urgent=True
-        ):
+        if not self._make_space(device, now, urgent=True):
             return False
         device.used_bytes += self._expert_bytes
         device.resident.add(expert)
@@ -358,9 +355,7 @@ class ExpertPool:
             # Already resident or in flight: caller stalls until arrival.
             return max(arrival, now)
         device = self.device_of(expert)
-        while not self._make_space(
-            device, self._expert_bytes, now, urgent=True
-        ):
+        while not self._make_space(device, now, urgent=True):
             # Everything evictable is still on the wire: wait for the
             # earliest unprotected transfer to land, then it is fair game.
             pending = [
@@ -466,40 +461,36 @@ class ExpertPool:
         return sum(d.channel.retries for d in self.devices)
 
     def _make_space(
-        self,
-        device: _Device,
-        needed_bytes: int,
-        now: float,
-        urgent: bool = False,
+        self, device: _Device, now: float, urgent: bool = False
     ) -> bool:
-        """Evict ready, unprotected experts (oracle order) until it fits.
+        """Make room for one expert: evict the oracle's top ready,
+        unprotected expert when the device is full.
 
-        Urgent (on-demand) loads may additionally cancel queued prefetches
-        that have not started transferring, reclaiming their reservations.
+        Every load is one equal-sized expert and a device never holds more
+        than its budget, so one eviction always makes room.  Urgent
+        (on-demand) loads with nothing evictable may instead cancel queued
+        prefetches that have not started transferring, reclaiming their
+        reservations.
         """
-        if device.free_bytes() >= needed_bytes:
+        needed = self._expert_bytes
+        if device.free_bytes() >= needed:
             return True
         # Readiness inlined (resident experts are always tracked): the
         # scan touches every resident on every space-needing call, so the
         # per-candidate method-call overhead of ``is_ready`` matters.
         protected = self.protected
         tasks = self._tasks
-        # Dense scoring when the oracle exposes its score matrix and one
-        # eviction suffices: the victim comes from O(1) array lookups
-        # instead of one Python scoring call per candidate.  The matrix
-        # holds exactly the scores ``eviction_priority`` returns, so both
-        # paths evict the same victims.
+        # Dense scoring when the oracle exposes its score matrix: the
+        # victim comes from O(1) array lookups instead of one Python
+        # scoring call per candidate.  The matrix holds exactly the scores
+        # ``eviction_priority`` returns, so both paths evict the same
+        # victim.
         dense = getattr(self._oracle, "eviction_score_matrix", None)
         matrix = dense(now) if dense is not None else None
-        if (
-            matrix is not None
-            and device.free_bytes() + self._expert_bytes >= needed_bytes
-        ):
-            # One eviction suffices (every request is for one equal-sized
-            # expert, so this is nearly every call): take the first strict
-            # maximum in residency-set iteration order — exactly the
-            # stable descending sort's first victim — without building or
-            # sorting a candidate list.
+        if matrix is not None:
+            # Take the first strict maximum in residency-set iteration
+            # order — exactly what ``max`` over the candidates returns —
+            # without building a candidate list.
             width = self.model.experts_per_layer
             best = None
             best_score = float("-inf")
@@ -513,10 +504,6 @@ class ExpertPool:
                 if score > best_score:
                     best_score = score
                     best = e
-            if best is not None:
-                self.evict(best)
-                return True
-            candidates = []
         else:
             candidates = [
                 e
@@ -524,14 +511,15 @@ class ExpertPool:
                 if e not in protected
                 and ((task := tasks[e]) is None or task.end <= now)
             ]
-            candidates.sort(
+            best = max(
+                candidates,
                 key=lambda e: self._oracle.eviction_priority(e, now),
-                reverse=True,
+                default=None,
             )
-        for victim in candidates:
-            self.evict(victim)
-            if device.free_bytes() >= needed_bytes:
-                return True
+        if best is not None:
+            self.evict(best)
+            # Still checked: a byte ledger that leaks on eviction fails here.
+            return device.free_bytes() >= needed
         if urgent:
             # Reclaim queued-but-not-started prefetch reservations,
             # furthest arrival first.
@@ -554,6 +542,6 @@ class ExpertPool:
                 self.stats.prefetch_cancelled += 1
                 for observer in self._observers:
                     observer.drop_transfer(task)
-                if device.free_bytes() >= needed_bytes:
+                if device.free_bytes() >= needed:
                     return True
-        return device.free_bytes() >= needed_bytes
+        return device.free_bytes() >= needed

@@ -46,7 +46,7 @@ class Mutant:
 def _budget_overcommit(engine: "ServingEngine") -> None:
     """``_make_space`` claims success without evicting anything."""
     pool = engine.pool
-    pool._make_space = lambda device, needed, now, urgent=False: True
+    pool._make_space = lambda device, now, urgent=False: True
 
 
 def _eviction_leak(engine: "ServingEngine") -> None:

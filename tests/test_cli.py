@@ -1,22 +1,44 @@
 """Tests for the command-line interface."""
 
 import argparse
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
 
 
-def all_subcommands() -> list[str]:
-    """Every registered subcommand, discovered from the parser itself
-    so new commands are covered without editing this list."""
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Every registered subcommand's parser, discovered from the parser
+    itself so new commands are covered without editing a list."""
     parser = build_parser()
     action = next(
         a
         for a in parser._actions
         if isinstance(a, argparse._SubParsersAction)
     )
-    return sorted(action.choices)
+    return action.choices
+
+
+def all_subcommands() -> list[str]:
+    """Every registered subcommand."""
+    return sorted(subparsers())
+
+
+def name_options() -> list[tuple[str, str]]:
+    """Every (subcommand, option) whose values are registry names."""
+    return [
+        (command, action.option_strings[0])
+        for command, subparser in subparsers().items()
+        for action in subparser._actions
+        if action.option_strings
+        and (
+            action.choices
+            or getattr(action.type, "__qualname__", "").startswith(
+                "_prefix_choice."
+            )
+        )
+    ]
 
 
 class TestParser:
@@ -58,6 +80,64 @@ class TestParser:
             main(["cluster", flag, "nope"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_name_option_discovery_sees_every_registry(self):
+        flags = {flag for _, flag in name_options()}
+        assert {
+            "--model", "--models", "--dataset", "--datasets", "--system",
+            "--systems", "--policy", "--router", "--scenarios", "--shapes",
+            "--chaos", "--profiles", "--placement",
+        } <= flags
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [pytest.param(c, f, id=f"{c}{f}") for c, f in name_options()],
+    )
+    def test_unknown_name_exits_2_before_any_world(
+        self, command, flag, monkeypatch, capsys
+    ):
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was built for an unknown name")
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("repro") and hasattr(module, "build_world"):
+                monkeypatch.setattr(module, "build_world", no_world)
+        required = ["--out-dir", "unused"] if command == "trace" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *required, flag, "nope"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "'nope'" in err and "choose from" in err
+
+    @pytest.mark.parametrize(
+        "argv,dest,expected",
+        [
+            (["compare", "--systems", "moe-inf", "deep"], "systems",
+             ["moe-infinity", "deepspeed-inference"]),
+            (["overall", "--models", "phi", "qwen"], "models",
+             ["phi-3.5-moe", "qwen1.5-moe"]),
+            (["validate", "--models", "mix"], "models", ["mixtral-8x7b"]),
+            (["grid", "--datasets", "share"], "datasets", ["sharegpt"]),
+            (["faults", "--scenarios", "flaky", "dev"], "scenarios",
+             ["flaky-transfers", "device-loss"]),
+            (["storm-lite", "--scenarios", "zone"], "scenarios",
+             ["zone-outage"]),
+            (["fleet", "--shapes", "spot"], "shapes", ["spot-heavy"]),
+            (["cluster", "--chaos", "crash"], "chaos", "crash-restart"),
+            (["journeys", "--chaos", "flaky"], "chaos", "flaky-link"),
+        ],
+    )
+    def test_name_options_accept_prefixes(self, argv, dest, expected):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, dest) == expected
+
+    def test_ambiguous_prefix_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faults", "--scenarios", "de"])
+        assert excinfo.value.code == 2
+        assert "ambiguous choice 'de'" in capsys.readouterr().err
 
     def test_subcommand_discovery_sees_the_whole_surface(self):
         commands = all_subcommands()
@@ -158,11 +238,12 @@ class TestObservabilityCommands:
 
     @pytest.mark.parametrize("command", ["cluster", "journeys"])
     def test_unknown_chaos(self, command, capsys):
-        code = main(
-            [command, *self.WORLD, "--chaos", "nope"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *self.WORLD, "--chaos", "nope"])
+        assert excinfo.value.code == 2
+        assert "argument --chaos: unknown choice 'nope'" in (
+            capsys.readouterr().err
         )
-        assert code == 2
-        assert "unknown chaos scenario" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -173,9 +254,31 @@ class TestObservabilityCommands:
         ],
     )
     def test_unknown_named_item_exits_2(self, argv, capsys):
-        assert main([*argv, *self.WORLD]) == 2
-        out = capsys.readouterr().out
-        assert "['nope']; choose from:" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *self.WORLD])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown choice 'nope'; choose from:" in captured.err
+        assert captured.out == ""
+
+    def test_cluster_prints_the_inspect_rendering(self, tmp_path, capsys):
+        path = tmp_path / "cluster_report.json"
+        code = main(
+            [
+                "cluster", *self.WORLD,
+                "--replicas", "3",
+                "--chaos", "crash-restart",
+                "--resilience",
+                "--trace-requests", "8",
+                "--out", str(path),
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert main(["inspect", str(path)]) == 0
+        rendering = capsys.readouterr().out
+        assert "== scale events ==" in rendering
+        assert printed == f"{rendering}  report written to {path}\n"
 
     def test_validated_cluster_compare_builds_validated_cells(
         self, monkeypatch, capsys

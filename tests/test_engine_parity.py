@@ -15,13 +15,11 @@ every comparison demands **byte-identical** serialized reports:
   there); ``tests/test_parity_corpus.py`` checks the tiny-world cells
   and that the corpus moves under every engine mutant.
 
-The mutant screen re-runs through the core to prove the validators kept
-their teeth.
+Mutant detection itself is screened by ``tests/test_validate_mutants.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import json
 
@@ -35,8 +33,6 @@ from repro.serving.engine import ServingEngine
 from repro.serving.export import report_to_dict, report_to_json
 from repro.serving.faults import FaultConfig, FaultSchedule
 from repro.serving.pool import ExpertPool
-from repro.validate.harness import detect_mutant
-from repro.validate.mutants import MUTANTS
 
 from tests._cluster_testkit import arrival_trace, tiny_world
 from tests._reference_core import reference_core
@@ -180,8 +176,8 @@ class TestPropertyParity:
         assert _bytes(core.aggregate) == _bytes(reference.aggregate)
 
 
-class TestMutantsThroughColumnarCore:
-    """The one core did not blunt the validators."""
+class TestOneCore:
+    """There is one serving core."""
 
     def test_no_core_switch(self):
         """No entry point selects a second core."""
@@ -193,21 +189,3 @@ class TestMutantsThroughColumnarCore:
         ):
             parameters = inspect.signature(function).parameters
             assert "columnar" not in parameters, function.__qualname__
-
-    @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
-    def test_mutant_detected_through_batched_core(self, mutant):
-        world = tiny_world()
-        total = world.model_config.total_expert_bytes
-        budget = (
-            2
-            * world.config.hardware.num_gpus
-            * world.model_config.expert_bytes
-        )
-        pressured = dataclasses.replace(
-            world, config=world.config.with_(cache_fraction=budget / total)
-        )
-        result = detect_mutant(pressured, mutant)
-        assert result.flagged, (
-            f"mutant {mutant.name!r} survived the core "
-            f"(expected detector: {mutant.expected_detector})"
-        )
