@@ -59,9 +59,8 @@ def _naive_semantic(store, embeddings):
 def _naive_trajectory(store, observed, num_layers):
     """Pre-vectorization trajectory path: flatten + normalize per call."""
     flat_new = observed[:, :num_layers, :].reshape(observed.shape[0], -1)
-    flat_old = store._maps[: len(store), :num_layers, :].reshape(
-        len(store), -1
-    )
+    stored = store.gather_maps(np.arange(len(store)))
+    flat_old = stored[:, :num_layers, :].reshape(len(store), -1)
     return cosine_similarity_matrix(flat_new, flat_old)
 
 

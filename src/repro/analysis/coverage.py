@@ -86,10 +86,10 @@ def coverage_curve(
             store.add(embedding, grid)
         best = []
         for _, grid in probes:
-            session = IncrementalTrajectoryMatch(store, 1)
-            for row in grid:
-                result = session.observe_layer(row[None, :])
-            best.append(float(result.scores[0]))
+            result = IncrementalTrajectoryMatch(store, 1).observe_layers(
+                grid[None, :, :]
+            )
+            best.append(float(result.scores[-1, 0]))
         best_arr = np.array(best)
         points.append(
             CoveragePoint(

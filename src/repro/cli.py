@@ -585,6 +585,22 @@ def _serve_cluster(
     )
 
 
+#: What shapes the one cluster ``repro cluster`` serves; ``--compare``
+#: builds its own grid and rejects each of these set to a non-default value.
+_SINGLE_CLUSTER_OPTIONS = (
+    "replicas",
+    "router",
+    "chaos",
+    "resilience",
+    "profiles",
+    "placement",
+    "shared_store",
+    "cold",
+    "autoscale",
+    "out",
+)
+
+
 @command(
     "cluster",
     "multi-replica cluster simulation with affinity routing",
@@ -644,6 +660,17 @@ def cmd_cluster(args: argparse.Namespace, config: ExperimentConfig) -> int:
     from repro.obs.inspect import inspect_cluster_report
 
     if args.compare:
+        parser = args.parser
+        ignored = [
+            "--" + dest.replace("_", "-")
+            for dest in _SINGLE_CLUSTER_OPTIONS
+            if getattr(args, dest) != parser.get_default(dest)
+        ]
+        if ignored:
+            parser.error(
+                "--compare runs its own router x replica-count grid and "
+                f"does not take {', '.join(ignored)}"
+            )
         rows = cluster_scaling_rows(
             replica_counts=tuple(args.replica_counts),
             config=config,
@@ -1145,7 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(entry.name, help=entry.help)
         for group in entry.groups:
             group(p)
-        p.set_defaults(func=entry.handler)
+        p.set_defaults(func=entry.handler, parser=p)
     return parser
 
 

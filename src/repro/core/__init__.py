@@ -2,12 +2,15 @@
 
 - :class:`ExpertMap` — iteration-level gate probability distributions
   across layers (§4.1).
-- :class:`ExpertMapStore` — capacity-bounded history with redundancy-score
-  deduplication (§4.4) and the semantic search (Eq. 4).
+- :class:`ExpertMapStore` — capacity-bounded history, one float32
+  layer-major map array, redundancy-score deduplication (§4.4) and the
+  float64 semantic search (Eq. 4).
 - :class:`ExpertMapMatcher` — semantic matches and per-iteration
-  trajectory sessions (§4.2).  Eq. 5 has one implementation,
-  :class:`~repro.core.matcher.IncrementalTrajectoryMatch`, which the
-  serving policy and the offline evaluators both drive layer by layer.
+  trajectory sessions (§4.2).  Eq. 5 has one implementation, the float32
+  kernel :meth:`~repro.core.matcher.IncrementalTrajectoryMatch.observe_layers`:
+  the serving policy folds a whole iteration in one call, the store's
+  dedup score reads its full-prefix value, and the offline evaluators
+  drive it layer by layer.
 - :mod:`repro.core.prefetch` — similarity-aware expert selection with the
   dynamic threshold δ = clip(1 − score) and prefetch priorities (§4.3, §4.5).
 - :class:`FMoECacheScorer` — the 1/(p·freq) eviction priority (§4.5).

@@ -56,13 +56,15 @@ class TrajectoryPlan(NamedTuple):
     scorer's prediction row for the target layer."""
 
     scores: np.ndarray
-    """``(L−d, B)``: best trajectory-match score per batch position."""
+    """``(L−d, B)`` float32: best trajectory-match score per batch
+    position."""
 
-    ids: list[np.ndarray]
-    """Per-layer flat expert ids ``target · J + j`` (int64)."""
+    score_lists: list[list[float]]
+    """``scores`` as Python floats, one list per layer (the score log)."""
 
-    priorities: list[np.ndarray]
-    """Per-layer prefetch priorities ``p / d`` (float64)."""
+    actions: list[PolicyAction]
+    """Per-layer action: the prefetch block (flat expert ids
+    ``target · J + j``, priorities ``p / d``) and the match overhead."""
 
 
 class FMoEPolicy(BasePolicy):
@@ -191,12 +193,14 @@ class FMoEPolicy(BasePolicy):
         similarity threshold δ = clip(1 − score) (or a fixed top-K), in
         lane-major order, with priorities ``p / gap`` — one
         argsort/cumsum pass instead of one selection and one
-        ``PrefetchInstruction`` per lane and expert.
+        ``PrefetchInstruction`` per lane and expert.  δ is float64
+        whatever the scores' dtype, as the scalar
+        :func:`~repro.core.prefetch.selection_threshold` computes it.
         """
         rows = rows32.astype(np.float64)
         width = rows.shape[1]
         if self.dynamic_threshold:
-            thresholds = np.clip(1.0 - scores, 0.0, 1.0)
+            thresholds = np.clip(1.0 - scores.astype(np.float64), 0.0, 1.0)
             order, counts = select_prefetch_counts(
                 rows,
                 thresholds,
@@ -218,13 +222,14 @@ class FMoEPolicy(BasePolicy):
 
         ``rows`` is the iteration's ``(B, L, J)`` gate output
         (:meth:`IterationContext.iteration_rows`).  Layers ``0..L−d−1``
-        fold through one :class:`IncrementalTrajectoryMatch` session, so
-        entry ``l`` is the Eq. 5 match over prefix ``0..l`` — the search a
-        per-layer hook would run at layer ``l``; layers whose target
-        ``l + d`` lies past the last layer are not searched.  The matched
-        target rows of all ``(L−d)·B`` lanes (layer-major, then batch
-        position) go through one selection pass, then split per layer.
-        None when nothing is planned (an empty store, or ``d >= L``).
+        fold in one :meth:`IncrementalTrajectoryMatch.observe_layers`
+        call, so entry ``l`` is the Eq. 5 match over prefix ``0..l`` — the
+        search a per-layer hook would run at layer ``l``; layers whose
+        target ``l + d`` lies past the last layer are not searched.  The
+        matched target rows of all ``(L−d)·B`` lanes (layer-major, then
+        batch position) go through one selection pass, then split into
+        per-layer actions.  None when nothing is planned (an empty store,
+        or ``d >= L``).
         """
         assert self.store is not None and self.matcher is not None
         num_layers = self.config.num_layers
@@ -233,15 +238,12 @@ class FMoEPolicy(BasePolicy):
         if planned <= 0 or self.store.is_empty:
             return None
         batch = rows.shape[0]
-        session = self.matcher.incremental_session(batch)
-        indices = np.empty((planned, batch), dtype=np.intp)
-        scores = np.empty((planned, batch))
-        for layer in range(planned):
-            result = session.observe_layer(rows[:, layer, :])
-            indices[layer] = result.indices
-            scores[layer] = result.scores
+        result = self.matcher.incremental_session(batch).observe_layers(
+            rows[:, :planned, :]
+        )
+        scores = result.scores
         targets = np.arange(distance, num_layers)
-        matched = self.store.gather_rows(indices, targets[:, None])
+        matched = self.store.gather_rows(result.indices, targets[:, None])
         ids, priorities, counts = self._prefetch_block_for_lanes(
             matched.reshape(planned * batch, -1),
             scores.reshape(-1),
@@ -249,12 +251,18 @@ class FMoEPolicy(BasePolicy):
             np.full(planned * batch, distance, dtype=np.int64),
         )
         ends = np.cumsum(counts.reshape(planned, batch).sum(axis=1)).tolist()
-        spans = list(zip([0, *ends], ends))
+        seconds = self.matcher.match_seconds()
         return TrajectoryPlan(
             predictions=matched.max(axis=1),
             scores=scores,
-            ids=[ids[a:b] for a, b in spans],
-            priorities=[priorities[a:b] for a, b in spans],
+            score_lists=scores.tolist(),
+            actions=[
+                PolicyAction(
+                    prefetch_block=(ids[a:b], priorities[a:b]),
+                    async_overheads={"map_match": seconds},
+                )
+                for a, b in zip([0, *ends], ends)
+            ],
         )
 
     # ------------------------------------------------------------------ #
@@ -317,16 +325,14 @@ class FMoEPolicy(BasePolicy):
             # The forward pass moved past layer-1: its experts are now the
             # least valuable residents (layer-sequential reuse, §4.5).
             self.scorer.mark_layer_done(layer - 1)
-        target = layer + self.prefetch_distance
         plan = self._plan
-        if plan is None or target >= self.config.num_layers:
+        if plan is None or layer >= len(plan.actions):
             return PolicyAction()
-        self.scorer.update_prediction_row(target, plan.predictions[layer])
-        self.trajectory_score_log.extend(float(s) for s in plan.scores[layer])
-        return PolicyAction(
-            prefetch_block=(plan.ids[layer], plan.priorities[layer]),
-            async_overheads={"map_match": self.matcher.match_seconds()},
+        self.scorer.update_prediction_row(
+            layer + self.prefetch_distance, plan.predictions[layer]
         )
+        self.trajectory_score_log.extend(plan.score_lists[layer])
+        return plan.actions[layer]
 
     def on_iteration_end(self, ctx: IterationContext) -> PolicyAction:
         assert self.store is not None

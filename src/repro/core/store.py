@@ -4,24 +4,27 @@ A capacity-bounded collection of (semantic embedding, expert map) records
 from historical inference iterations, held in preallocated arrays so the
 matcher's batched cosine computations are single matrix products.
 
-Stored rows are pre-normalized at :meth:`ExpertMapStore.add` time: unit
-embeddings, float64-flattened maps, per-layer squared norms and one
-full-map norm are maintained per slot, so no search re-normalizes the
-stored side.  Insertion is O(L·J) per record; searches happen far more
-often than inserts, so the work moves to the cheap side.
+Each map is stored once, float32 and layer-major: ``(L, C, J)``, so one
+layer's rows of every slot are one contiguous block.  Beside it sit the
+per-slot prefix squared norms ``(L, C)`` float32 — entry ``[l, c]`` is
+``||map_c[0..l]||²`` folded left to right — and unit-norm float64
+embeddings.  All are written by :meth:`ExpertMapStore.add`, so no search
+re-normalizes the stored side.
 
-The store itself answers the semantic search (Eq. 4) and the redundancy
-score below.  The trajectory search (Eq. 5) lives in
-:class:`repro.core.matcher.IncrementalTrajectoryMatch`, which folds the
-cached per-layer rows and squared norms one layer at a time.
+The store answers the semantic search (Eq. 4) in float64 over the unit
+embeddings.  The trajectory search (Eq. 5) is one float32 kernel,
+:class:`repro.core.matcher.IncrementalTrajectoryMatch`, which folds
+whole blocks of layers against the map array and reads the stored norms
+from the cached prefix.
 
 When full, the store deduplicates: each incoming iteration computes the
 unified redundancy score against every stored record,
 
     RDY_{x,y} = (d/L) · score_sem(x,y) + ((L−d)/L) · score_traj(x,y),
 
-and replaces the stored record it is most redundant with — keeping the
-store diverse so some useful map exists for any future prompt.
+where score_traj is the same kernel's full-prefix value, and replaces the
+stored record it is most redundant with — keeping the store diverse so
+some useful map exists for any future prompt.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.matcher import IncrementalTrajectoryMatch
 from repro.errors import ConfigError
 
 
@@ -67,25 +71,17 @@ class ExpertMapStore:
         self.embedding_dim = embedding_dim
         self.prefetch_distance = prefetch_distance
         self._embeddings = np.zeros((capacity, embedding_dim), dtype=np.float32)
-        self._maps = np.zeros(
-            (capacity, num_layers, num_experts), dtype=np.float32
-        )
-        # Pre-normalized search-side rows, maintained per slot by add():
-        # unit-norm embeddings, float64 flattened maps, and the full-map
-        # norm ||map|| the redundancy score divides by.  Zero norms are
-        # stored as 1.0 so divisions yield 0 similarity, matching the
-        # cosine convention for zero rows.
+        # Unit-norm embeddings for the semantic search; a zero embedding
+        # stays zero, so it scores 0 against every query.
         self._embeddings_unit = np.zeros(
             (capacity, embedding_dim), dtype=np.float64
         )
-        self._maps_flat = np.zeros(
-            (capacity, num_layers * num_experts), dtype=np.float64
+        # The one copy of every map, layer-major, and its prefix squared
+        # norms: the trajectory kernel's stored side.
+        self._layer_maps = np.zeros(
+            (num_layers, capacity, num_experts), dtype=np.float32
         )
-        self._full_norms = np.ones(capacity, dtype=np.float64)
-        # Per-layer squared norms ||map[l]||² of every slot, cached at
-        # insertion so incremental trajectory matchers can fold in one
-        # layer without re-squaring the stored rows each time.
-        self._layer_sq = np.zeros((capacity, num_layers), dtype=np.float64)
+        self._prefix_sq = np.zeros((num_layers, capacity), dtype=np.float32)
         self._size = 0
         self.total_added = 0
         self.replacements = 0
@@ -111,14 +107,14 @@ class ExpertMapStore:
             raise ConfigError(f"record index {index} out of range")
         return StoreRecord(
             embedding=self._embeddings[index].copy(),
-            expert_map=self._maps[index].copy(),
+            expert_map=self.get_map(index).copy(),
         )
 
     def get_map(self, index: int) -> np.ndarray:
-        """Stored expert map ``(L, J)`` (read-only view)."""
+        """Stored expert map ``(L, J)`` float32 (a strided view)."""
         if not 0 <= index < self._size:
             raise ConfigError(f"record index {index} out of range")
-        return self._maps[index]
+        return self._layer_maps[:, index]
 
     def gather_maps(self, indices: np.ndarray) -> np.ndarray:
         """Stored maps for a batch of slots: ``(B, L, J)`` float32 copy.
@@ -126,12 +122,10 @@ class ExpertMapStore:
         The batched form of :meth:`get_map` — one fancy index instead of
         one Python call per batch position.
         """
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= self._size
-        ):
-            raise ConfigError("record index out of range")
-        return self._maps[indices]
+        indices = self._checked(indices)
+        return np.ascontiguousarray(
+            self._layer_maps[:, indices].swapaxes(0, 1)
+        )
 
     def gather_rows(
         self, indices: np.ndarray, layer: int | np.ndarray
@@ -140,16 +134,15 @@ class ExpertMapStore:
         layer, or, with an integer array ``layer`` that broadcasts against
         ``indices``, row ``layer[i]`` of slot ``indices[i]``:
         ``(*shape, J)``."""
+        return self._layer_maps[layer, self._checked(indices)]
+
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size and (
             indices.min() < 0 or indices.max() >= self._size
         ):
             raise ConfigError("record index out of range")
-        return self._maps[indices, layer]
-
-    def layer_sq_norms(self, layer: int, size: int) -> np.ndarray:
-        """Cached ``||map[layer]||²`` of the first ``size`` slots."""
-        return self._layer_sq[:size, layer]
+        return indices
 
     def memory_bytes(self, allocated: bool = False) -> int:
         """CPU memory footprint (Fig. 16): maps + embeddings, float32."""
@@ -184,24 +177,16 @@ class ExpertMapStore:
             slot = self._most_redundant_slot(embedding, expert_map)
             self.replacements += 1
         self._embeddings[slot] = embedding
-        self._maps[slot] = expert_map
-        self._refresh_derived(slot)
-        return slot
-
-    def _refresh_derived(self, slot: int) -> None:
-        """Recompute the pre-normalized rows for one (re)written slot."""
         emb = self._embeddings[slot].astype(np.float64)
         norm = float(np.linalg.norm(emb))
         self._embeddings_unit[slot] = emb / (norm if norm != 0.0 else 1.0)
-        stored = self._maps[slot].astype(np.float64)
-        self._maps_flat[slot] = stored.reshape(-1)
-        layer_sq = (stored**2).sum(axis=1)
-        self._layer_sq[slot] = layer_sq
-        # The last entry of the cumulative sum, not ``layer_sq.sum()``:
-        # numpy's pairwise summation can differ from the left-to-right
-        # fold by an ulp, which would move dedup choices.
-        norm = float(np.sqrt(np.cumsum(layer_sq)[-1]))
-        self._full_norms[slot] = norm if norm != 0.0 else 1.0
+        self._layer_maps[:, slot] = expert_map
+        # Per-layer squared norms, then their left-to-right running sum:
+        # the same folds the kernel applies to the query side.
+        np.cumsum(
+            (expert_map**2).sum(axis=1), out=self._prefix_sq[:, slot]
+        )
+        return slot
 
     def _most_redundant_slot(
         self, embedding: np.ndarray, expert_map: np.ndarray
@@ -214,17 +199,15 @@ class ExpertMapStore:
     def redundancy_scores(
         self, embeddings: np.ndarray, maps: np.ndarray
     ) -> np.ndarray:
-        """Unified redundancy score RDY (§4.4), shape ``(B, size)``."""
+        """Unified redundancy score RDY (§4.4), shape ``(B, size)``.
+
+        The trajectory term is the Eq. 5 kernel's full-prefix cosine of
+        each ``(L, J)`` map in ``maps`` against every stored map.
+        """
         if self.is_empty:
             raise ConfigError("redundancy undefined for an empty store")
         sem = self.semantic_scores(embeddings)
-        flat_new = np.asarray(maps, dtype=np.float64).reshape(
-            maps.shape[0], -1
-        )
-        norms = np.linalg.norm(flat_new, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        dots = (flat_new / norms) @ self._maps_flat[: self._size].T
-        traj = dots / self._full_norms[: self._size]
+        traj = IncrementalTrajectoryMatch(self, len(maps)).full_scores(maps)
         d, total = self.prefetch_distance, self.num_layers
         return (d / total) * sem + ((total - d) / total) * traj
 

@@ -113,14 +113,10 @@ def store_capacity_sensitivity(
             assert sem is not None
             sem_scores.append(float(sem.scores[0]))
             for iteration_map in trace.iteration_maps:
-                session = matcher.incremental_session(1)
-                for layer in range(probes[-1] + 1):
-                    result = session.observe_layer(
-                        iteration_map[layer][None, :]
-                    )
-                    assert result is not None
-                    if layer in probes:
-                        traj_scores.append(float(result.scores[0]))
+                result = matcher.incremental_session(1).observe_layers(
+                    iteration_map[None, : probes[-1] + 1, :]
+                )
+                traj_scores.extend(result.scores[probes, 0].tolist())
         rows.append(
             CapacityRow(
                 capacity=capacity,

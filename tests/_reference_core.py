@@ -55,10 +55,11 @@ class ReferenceTrajectoryMatch:
     O(C·l·J) work at layer ``l``, O(C·L²·J) per iteration.  It is the
     scalar reference interpreter the parity suite compares the columnar
     core against, and it is *bitwise identical* to
-    :class:`IncrementalTrajectoryMatch` by construction: the refold adds
-    the same per-layer ``rows @ stored.T`` products and squared-norm
-    reductions in the same left-to-right order the incremental session
-    folds them, so every float lands on the identical value.
+    :class:`IncrementalTrajectoryMatch` by construction: in float32 over
+    the same stored maps, the refold adds the same per-layer
+    ``rows @ stored.T`` products and squared-norm reductions in the same
+    left-to-right order the incremental session folds them, so every
+    float lands on the identical value.
     """
 
     def __init__(self, store: ExpertMapStore, batch_size: int) -> None:
@@ -71,7 +72,7 @@ class ReferenceTrajectoryMatch:
 
     def observe_layer(self, rows: np.ndarray) -> MatchResult | None:
         """Fold in one layer's gate outputs, then re-match from scratch."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float32))
         if rows.shape[0] != self.batch_size:
             raise ValueError(
                 f"expected batch {self.batch_size}, got {rows.shape[0]}"
@@ -83,26 +84,31 @@ class ReferenceTrajectoryMatch:
             return None
         self._rows.append(rows)
         self.layers_observed += 1
-        dots = np.zeros((self.batch_size, size))
-        query_sq = np.zeros(self.batch_size)
-        stored_sq = np.zeros(size)
-        for layer, observed in enumerate(self._rows):
-            # Read the store the way a straightforward implementation
-            # would: the float32 maps as stored, upcast for the math
-            # (exact, so the scores stay bitwise identical to the
-            # incremental session's pre-flattened float64 cache).
-            stored_rows = self.store._maps[:size, layer].astype(np.float64)
-            dots += observed @ stored_rows.T
-            query_sq += (observed**2).sum(axis=1)
-            stored_sq += (stored_rows**2).sum(axis=1)
-        denom = np.sqrt(np.outer(query_sq, stored_sq))
-        denom[denom == 0.0] = 1.0
-        scores = dots / denom
+        scores = self.prefix_scores()
         best = np.argmax(scores, axis=1)
         return MatchResult(
             indices=best,
             scores=scores[np.arange(self.batch_size), best],
         )
+
+    def prefix_scores(self) -> np.ndarray:
+        """Cosine of the observed prefix against every stored map's
+        prefix, refolded from scratch: ``(B, size)`` float32."""
+        size = len(self.store)
+        dots = np.zeros((self.batch_size, size), dtype=np.float32)
+        query_sq = np.zeros(self.batch_size, dtype=np.float32)
+        stored_sq = np.zeros(size, dtype=np.float32)
+        stored = self.store.gather_maps(np.arange(size))
+        for layer, observed in enumerate(self._rows):
+            # Read the store the way a straightforward implementation
+            # would: every map as stored, one layer's rows at a time.
+            stored_rows = stored[:, layer]
+            dots += observed @ stored_rows.T
+            query_sq += (observed**2).sum(axis=1)
+            stored_sq += (stored_rows**2).sum(axis=1)
+        denom = np.sqrt(np.outer(query_sq, stored_sq))
+        denom[denom == 0.0] = 1.0
+        return dots / denom
 
 
 class ReferenceFMoEPolicy(FMoEPolicy):

@@ -112,6 +112,42 @@ class TestParser:
         assert "'nope'" in err and "choose from" in err
 
     @pytest.mark.parametrize(
+        "option",
+        [
+            ["--replicas", "3"],
+            ["--router", "least-outstanding"],
+            ["--chaos", "crash-restart"],
+            ["--profiles", "fast-nvlink"],
+            ["--placement", "uniform"],
+            ["--out", "report.json"],
+            ["--resilience"],
+            ["--shared-store"],
+            ["--cold"],
+            ["--autoscale"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_compare_rejects_single_cluster_options(
+        self, option, monkeypatch, capsys
+    ):
+        """``cluster --compare`` serves its own grid: an option that shapes
+        the one served cluster is a usage error, before any world."""
+
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was built for a usage error")
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("repro") and hasattr(module, "build_world"):
+                monkeypatch.setattr(module, "build_world", no_world)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "--compare", *option])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro cluster" in err
+        assert "--compare" in err and f"does not take {option[0]}" in err
+
+    @pytest.mark.parametrize(
         "argv,dest,expected",
         [
             (["compare", "--systems", "moe-inf", "deep"], "systems",

@@ -102,10 +102,8 @@ def _per_layer_reference(policy: FMoEPolicy, rows: np.ndarray):
 
 def _plan_entries(plan):
     return [
-        (ids, priorities, plan.predictions[layer], plan.scores[layer])
-        for layer, (ids, priorities) in enumerate(
-            zip(plan.ids, plan.priorities)
-        )
+        (*action.prefetch_block, plan.predictions[layer], plan.scores[layer])
+        for layer, action in enumerate(plan.actions)
     ]
 
 
@@ -124,7 +122,7 @@ class TestPlanMatchesPerLayerSearch:
         policy = _warm_policy(prefetch_distance=distance)
         rows = _rows(batch, seed=7)
         plan = policy.trajectory_plan(rows)
-        assert len(plan.ids) == CONFIG.num_layers - distance
+        assert len(plan.actions) == CONFIG.num_layers - distance
         _assert_entries_equal(
             _plan_entries(plan), _per_layer_reference(policy, rows)
         )

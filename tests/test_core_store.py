@@ -190,7 +190,7 @@ class TestVectorizedConsistency:
     def test_trajectory_matches_naive_at_every_prefix(self, rng):
         store = self.filled(rng)
         observed = rng.random((3, 6, 4))
-        stored = store._maps[: len(store)]
+        stored = store.gather_maps(np.arange(len(store)))
         session = IncrementalTrajectoryMatch(store, 3)
         for prefix in range(1, 7):
             expected = naive_cosine(
@@ -207,7 +207,8 @@ class TestVectorizedConsistency:
         maps = softmax_rows(rng.standard_normal((2, 6, 4)))
         sem = naive_cosine(embs, store._embeddings[: len(store)])
         traj = naive_cosine(
-            maps.reshape(2, -1), store._maps[: len(store)].reshape(8, -1)
+            maps.reshape(2, -1),
+            store.gather_maps(np.arange(len(store))).reshape(8, -1),
         )
         d, total = store.prefetch_distance, store.num_layers
         expected = (d / total) * sem + ((total - d) / total) * traj
@@ -219,6 +220,7 @@ class TestVectorizedConsistency:
         """Dedup replacement must rewrite every derived row it touches."""
         store = self.filled(rng, capacity=4, count=12)
         assert store.replacements == 8
+        maps = store.gather_maps(np.arange(len(store)))
         for slot in range(len(store)):
             emb = store._embeddings[slot].astype(np.float64)
             assert np.allclose(
@@ -226,15 +228,18 @@ class TestVectorizedConsistency:
                 emb / np.linalg.norm(emb),
                 atol=1e-12,
             )
-            stored = store._maps[slot].astype(np.float64)
-            assert np.array_equal(
-                store._maps_flat[slot], stored.reshape(-1)
-            )
-            assert np.array_equal(
-                store._layer_sq[slot], (stored**2).sum(axis=1)
-            )
-            assert store._full_norms[slot] == pytest.approx(
-                np.linalg.norm(stored), rel=1e-12
+            # Prefix squared norms: the per-layer float32 sums, folded
+            # left to right; the last row is the full-map norm squared.
+            layer_sq = (maps[slot] ** 2).sum(axis=1)
+            assert layer_sq.dtype == np.float32
+            prefix = np.zeros_like(layer_sq)
+            running = np.float32(0.0)
+            for layer, value in enumerate(layer_sq):
+                running = running + value
+                prefix[layer] = running
+            assert np.array_equal(store._prefix_sq[:, slot], prefix)
+            assert float(store._prefix_sq[-1, slot]) == pytest.approx(
+                np.linalg.norm(maps[slot].astype(np.float64)) ** 2, rel=1e-6
             )
         # The searches built on those rows agree with the reference too.
         queries = rng.standard_normal((2, 8))
