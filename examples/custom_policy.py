@@ -16,11 +16,7 @@ from repro.baselines import OraclePolicy
 from repro.baselines.base import BasePolicy, LFUTracker
 from repro.core.policy import FMoEPolicy
 from repro.experiments.common import ExperimentConfig, build_world
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-)
+from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
 
@@ -39,16 +35,30 @@ class StickyTopKPolicy(BasePolicy):
         super().__init__()
         self.prefetch_distance = prefetch_distance
         self._last_activated: dict[int, np.ndarray] = {}
-        self._lfu = LFUTracker()
+
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self._lfu = LFUTracker(
+            self.config.num_layers, self.config.experts_per_layer
+        )
+
+    def _block(self, layers) -> tuple[np.ndarray, np.ndarray]:
+        """Prefetch block: each layer's remembered experts, equal priority
+        (ties keep this emission order)."""
+        width = self.config.experts_per_layer
+        flat = np.array(
+            [
+                layer * width + j
+                for layer in layers
+                for j in self._last_activated.get(layer, ())
+            ],
+            dtype=np.int64,
+        )
+        return flat, np.ones(len(flat))
 
     def on_iteration_start(self, ctx: IterationContext) -> PolicyAction:
-        instructions = []
-        for layer in range(min(self.prefetch_distance, self.config.num_layers)):
-            for j in self._last_activated.get(layer, ()):
-                instructions.append(
-                    PrefetchInstruction(ExpertId(layer, int(j)), priority=1.0)
-                )
-        return PolicyAction(prefetch=instructions)
+        layers = range(min(self.prefetch_distance, self.config.num_layers))
+        return PolicyAction(prefetch_block=self._block(layers))
 
     def on_gate_output(self, ctx: IterationContext, layer: int) -> PolicyAction:
         # Remember what this layer just used ...
@@ -60,17 +70,14 @@ class StickyTopKPolicy(BasePolicy):
         target = layer + self.prefetch_distance
         if target >= self.config.num_layers:
             return PolicyAction()
-        instructions = [
-            PrefetchInstruction(ExpertId(target, int(j)), priority=1.0)
-            for j in self._last_activated.get(target, ())
-        ]
-        return PolicyAction(prefetch=instructions)
+        return PolicyAction(prefetch_block=self._block([target]))
 
     def on_expert_served(self, expert: ExpertId, hit: bool, now: float) -> None:
         self._lfu.touch(expert, now)
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        return self._lfu.eviction_priority(expert, now)
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        """Flat ``(L·J,)`` scores, higher evicted first: least used."""
+        return self._lfu.eviction_score_matrix(now)
 
 
 def main() -> None:

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-)
+from repro.serving.engine import IterationContext, PolicyAction
 from repro.serving.request import Request
 from repro.types import ExpertId
 
@@ -23,35 +18,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LRUTracker:
     """Least-recently-used bookkeeping for eviction scoring."""
 
-    def __init__(self) -> None:
-        self._last_use: dict[ExpertId, float] = {}
+    def __init__(self, num_layers: int, experts_per_layer: int) -> None:
+        self._width = experts_per_layer
+        # Never-used experts count as last used at -1.0.
+        self._last_use = np.full(num_layers * experts_per_layer, -1.0)
 
     def touch(self, expert: ExpertId, now: float) -> None:
         """Record a use of ``expert`` at virtual time ``now``."""
-        self._last_use[expert] = now
+        self._last_use[expert.layer * self._width + expert.expert] = now
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
         """Older last use → larger score → evicted first."""
-        return now - self._last_use.get(expert, -1.0)
+        return now - self._last_use
 
 
 class LFUTracker:
     """Least-frequently-used bookkeeping for eviction scoring."""
 
-    def __init__(self) -> None:
-        self._freq: dict[ExpertId, int] = defaultdict(int)
+    def __init__(self, num_layers: int, experts_per_layer: int) -> None:
+        self._width = experts_per_layer
+        self._freq = np.zeros(num_layers * experts_per_layer, dtype=np.int64)
 
     def touch(self, expert: ExpertId, now: float) -> None:
         """Record a use of ``expert`` (time is ignored for LFU)."""
-        self._freq[expert] += 1
+        self._freq[expert.layer * self._width + expert.expert] += 1
 
     def frequency(self, expert: ExpertId) -> int:
         """Total recorded uses of ``expert``."""
-        return self._freq[expert]
+        return int(self._freq[expert.layer * self._width + expert.expert])
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
         """Lower visit frequency → larger score → evicted first."""
-        return 1.0 / (1.0 + self._freq.get(expert, 0))
+        return 1.0 / (1.0 + self._freq)
 
 
 class BasePolicy:
@@ -112,25 +110,34 @@ class BasePolicy:
         """Called after the last layer (map-update point)."""
         return PolicyAction()
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        """Score an eviction candidate; higher is evicted first."""
-        return 0.0
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        """Every expert's eviction score, flat ``(L·J,)`` float64 indexed
+        by ``layer * J + j``; higher is evicted first.  Default: all
+        equal, so the pool evicts its first candidate."""
+        return np.zeros(self.config.num_layers * self.config.experts_per_layer)
 
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def instructions_for_topk(
+    def topk_block(
         layer: int, distribution: np.ndarray, k: int, base_priority: float = 0.0
-    ) -> list[PrefetchInstruction]:
-        """Prefetch the ``k`` most probable experts of one layer."""
-        k = min(k, distribution.shape[-1])
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Prefetch the ``k`` most probable experts of one layer.
+
+        Returns (flat ids ``layer * J + j`` as int64, priorities
+        ``base_priority + p`` as float64), most probable first.
+        """
+        width = distribution.shape[-1]
         top = np.argsort(distribution)[::-1][:k]
-        return [
-            PrefetchInstruction(
-                expert=ExpertId(layer, int(j)),
-                priority=base_priority + float(distribution[j]),
-            )
-            for j in top
-        ]
+        priorities = base_priority + distribution[top].astype(np.float64)
+        return (layer * width + top).astype(np.int64), priorities
+
+    @staticmethod
+    def concat_blocks(
+        blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One prefetch block holding ``blocks`` in emission order."""
+        ids, priorities = zip(*blocks)
+        return np.concatenate(ids), np.concatenate(priorities)

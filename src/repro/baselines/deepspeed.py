@@ -17,6 +17,8 @@ experts pollute the cache.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines.base import BasePolicy, LRUTracker
 from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
@@ -27,9 +29,11 @@ class DeepSpeedPolicy(BasePolicy):
 
     name = "deepspeed-inference"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._lru = LRUTracker()
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self._lru = LRUTracker(
+            self.config.num_layers, self.config.experts_per_layer
+        )
 
     def on_gate_output(
         self, ctx: IterationContext, layer: int
@@ -62,5 +66,5 @@ class DeepSpeedPolicy(BasePolicy):
     def on_expert_served(self, expert: ExpertId, hit: bool, now: float) -> None:
         self._lru.touch(expert, now)
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        return self._lru.eviction_priority(expert, now)
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        return self._lru.eviction_score_matrix(now)

@@ -9,7 +9,10 @@ hit rate in Fig. 9) but the synchronous waits make its TTFT/TPOT poor.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines.base import BasePolicy, LRUTracker
+from repro.errors import ConfigError
 from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
@@ -25,9 +28,14 @@ class MixtralOffloadingPolicy(BasePolicy):
     def __init__(self, prefetch_distance: int = 1) -> None:
         super().__init__()
         if prefetch_distance < 1:
-            raise ValueError("prefetch_distance must be >= 1")
+            raise ConfigError("prefetch_distance must be >= 1")
         self.prefetch_distance = prefetch_distance
-        self._lru = LRUTracker()
+
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self._lru = LRUTracker(
+            self.config.num_layers, self.config.experts_per_layer
+        )
 
     def on_gate_output(
         self, ctx: IterationContext, layer: int
@@ -35,14 +43,18 @@ class MixtralOffloadingPolicy(BasePolicy):
         target = layer + self.prefetch_distance
         if target >= self.config.num_layers:
             return PolicyAction()
-        instructions = []
-        for b in range(ctx.batch_size):
-            predicted = ctx.speculate(b, target, self.prefetch_distance)
-            instructions.extend(
-                self.instructions_for_topk(target, predicted, self.config.top_k)
-            )
+        block = self.concat_blocks(
+            [
+                self.topk_block(
+                    target,
+                    ctx.speculate(b, target, self.prefetch_distance),
+                    self.config.top_k,
+                )
+                for b in range(ctx.batch_size)
+            ]
+        )
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=block,
             sync_overheads={"speculate": self.SPECULATE_SECONDS},
             block_until_arrival=True,
         )
@@ -50,5 +62,5 @@ class MixtralOffloadingPolicy(BasePolicy):
     def on_expert_served(self, expert: ExpertId, hit: bool, now: float) -> None:
         self._lru.touch(expert, now)
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        return self._lru.eviction_priority(expert, now)
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        return self._lru.eviction_score_matrix(now)

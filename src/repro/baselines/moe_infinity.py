@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.base import BasePolicy, LFUTracker
+from repro.errors import ConfigError
 from repro.moe.embeddings import cosine_similarity_matrix
 from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
@@ -42,19 +43,24 @@ class MoEInfinityPolicy(BasePolicy):
     ) -> None:
         super().__init__()
         if prefetch_distance < 1:
-            raise ValueError("prefetch_distance must be >= 1")
+            raise ConfigError("prefetch_distance must be >= 1")
         if prefetch_width_factor < 1.0:
-            raise ValueError("prefetch_width_factor must be >= 1")
+            raise ConfigError("prefetch_width_factor must be >= 1")
         self.prefetch_distance = prefetch_distance
         self.max_matrices = max_matrices
         self.prefetch_width_factor = prefetch_width_factor
-        self._lfu = LFUTracker()
         self._eams: list[np.ndarray] = []  # flattened normalized counts
         self._eam_grids: list[np.ndarray] = []  # (L, J) raw counts
         self._popularity: np.ndarray | None = None
         # Partial activation counts of in-flight requests, keyed by request
         # id: batch membership can shrink as requests finish early.
         self._request_counts: dict[int, np.ndarray] = {}
+
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self._lfu = LFUTracker(
+            self.config.num_layers, self.config.experts_per_layer
+        )
 
     # ------------------------------------------------------------------ #
     # History
@@ -100,15 +106,16 @@ class MoEInfinityPolicy(BasePolicy):
             return PolicyAction()
         # Initial layers: coarse rule — globally most popular experts.
         width = self._prefetch_width()
-        instructions = []
-        for layer in range(min(self.prefetch_distance, config.num_layers)):
-            instructions.extend(
-                self.instructions_for_topk(
-                    layer, self._popularity[layer], width
+        block = self.concat_blocks(
+            [
+                self.topk_block(layer, self._popularity[layer], width)
+                for layer in range(
+                    min(self.prefetch_distance, config.num_layers)
                 )
-            )
+            ]
+        )
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=block,
             sync_overheads={"predict": self.PREDICT_SECONDS},
         )
 
@@ -129,15 +136,16 @@ class MoEInfinityPolicy(BasePolicy):
         partial = np.stack([grid.ravel() for grid in counts])
         scores = cosine_similarity_matrix(partial, stored)
         width = self._prefetch_width()
-        instructions = []
-        for b in range(len(counts)):
-            best = int(np.argmax(scores[b]))
-            row = self._eam_grids[best][target]
-            instructions.extend(
-                self.instructions_for_topk(target, row, width)
-            )
+        block = self.concat_blocks(
+            [
+                self.topk_block(
+                    target, self._eam_grids[int(np.argmax(row))][target], width
+                )
+                for row in scores
+            ]
+        )
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=block,
             sync_overheads={"predict": self.PREDICT_SECONDS},
         )
 
@@ -150,5 +158,5 @@ class MoEInfinityPolicy(BasePolicy):
     def on_expert_served(self, expert: ExpertId, hit: bool, now: float) -> None:
         self._lfu.touch(expert, now)
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        return self._lfu.eviction_priority(expert, now)
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        return self._lfu.eviction_score_matrix(now)

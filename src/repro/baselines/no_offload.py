@@ -6,6 +6,8 @@ misses, but the cache budget must cover the full expert footprint.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines.base import BasePolicy
 from repro.errors import CapacityError
 from repro.types import ExpertId
@@ -31,5 +33,5 @@ class NoOffloadPolicy(BasePolicy):
             for j in range(config.experts_per_layer)
         )
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
         raise CapacityError("no-offload must never evict")

@@ -8,12 +8,11 @@ extension benches to quantify how much headroom remains above fMoE.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines.base import BasePolicy, LFUTracker
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-)
+from repro.errors import ConfigError
+from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
 
@@ -25,25 +24,27 @@ class OraclePolicy(BasePolicy):
     def __init__(self, prefetch_distance: int = 3) -> None:
         super().__init__()
         if prefetch_distance < 1:
-            raise ValueError("prefetch_distance must be >= 1")
+            raise ConfigError("prefetch_distance must be >= 1")
         self.prefetch_distance = prefetch_distance
-        self._lfu = LFUTracker()
         # Belady bookkeeping for the in-flight iteration: the next layer
         # (>= compute front) at which each expert is known to be needed.
         self._next_use: dict[ExpertId, int] = {}
         self._front = 0
 
-    def _instructions(self, ctx: IterationContext, layer: int):
-        instructions = []
-        for activated in ctx.oracle_activated_at(layer):
-            for j in activated:
-                instructions.append(
-                    PrefetchInstruction(
-                        expert=ExpertId(layer, int(j)),
-                        priority=float(self.config.num_layers - layer),
-                    )
-                )
-        return instructions
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self._lfu = LFUTracker(
+            self.config.num_layers, self.config.experts_per_layer
+        )
+
+    def _block(
+        self, ctx: IterationContext, layer: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every request's true activations of ``layer``, request-major."""
+        width = self.config.experts_per_layer
+        experts = np.concatenate(ctx.oracle_activated_at(layer))
+        ids = (layer * width + experts).astype(np.int64)
+        return ids, np.full(len(ids), float(self.config.num_layers - layer))
 
     def on_iteration_start(self, ctx: IterationContext) -> PolicyAction:
         # Perfect predictions, same issue window as fMoE: the first d
@@ -55,10 +56,12 @@ class OraclePolicy(BasePolicy):
             for activated in ctx.oracle_activated_at(layer):
                 for j in activated:
                     self._next_use.setdefault(ExpertId(layer, int(j)), layer)
-        instructions = []
-        for layer in range(min(self.prefetch_distance, self.config.num_layers)):
-            instructions.extend(self._instructions(ctx, layer))
-        return PolicyAction(prefetch=instructions)
+        layers = range(min(self.prefetch_distance, self.config.num_layers))
+        return PolicyAction(
+            prefetch_block=self.concat_blocks(
+                [self._block(ctx, layer) for layer in layers]
+            )
+        )
 
     def on_gate_output(
         self, ctx: IterationContext, layer: int
@@ -67,7 +70,7 @@ class OraclePolicy(BasePolicy):
         target = layer + self.prefetch_distance
         if target >= self.config.num_layers:
             return PolicyAction()
-        return PolicyAction(prefetch=self._instructions(ctx, target))
+        return PolicyAction(prefetch_block=self._block(ctx, target))
 
     def on_iteration_end(self, ctx: IterationContext) -> None:
         self._next_use = {}
@@ -80,11 +83,15 @@ class OraclePolicy(BasePolicy):
         if self._next_use.get(expert, -1) <= expert.layer:
             self._next_use.pop(expert, None)
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
         # Belady with hindsight: an expert still needed this iteration is
         # kept (negative score, sooner use → kept longer); everything else
         # falls back to LFU (positive score) and is evicted first.
-        next_use = self._next_use.get(expert)
-        if next_use is not None and next_use >= self._front:
-            return float(next_use - self.config.num_layers)
-        return self._lfu.eviction_priority(expert, now)
+        scores = self._lfu.eviction_score_matrix(now)
+        width = self.config.experts_per_layer
+        for expert, next_use in self._next_use.items():
+            if next_use >= self._front:
+                scores[expert.layer * width + expert.expert] = float(
+                    next_use - self.config.num_layers
+                )
+        return scores

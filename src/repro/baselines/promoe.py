@@ -10,7 +10,10 @@ hidden-state reuse at the same distance, still decaying with stride).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines.base import BasePolicy, LFUTracker
+from repro.errors import ConfigError
 from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
@@ -34,12 +37,17 @@ class ProMoEPolicy(BasePolicy):
     ) -> None:
         super().__init__()
         if prefetch_distance < 1:
-            raise ValueError("prefetch_distance must be >= 1")
+            raise ConfigError("prefetch_distance must be >= 1")
         if predictor_quality <= 0:
-            raise ValueError("predictor_quality must be > 0")
+            raise ConfigError("predictor_quality must be > 0")
         self.prefetch_distance = prefetch_distance
         self.predictor_quality = predictor_quality
-        self._lfu = LFUTracker()
+
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self._lfu = LFUTracker(
+            self.config.num_layers, self.config.experts_per_layer
+        )
 
     def on_gate_output(
         self, ctx: IterationContext, layer: int
@@ -47,24 +55,28 @@ class ProMoEPolicy(BasePolicy):
         target = layer + self.prefetch_distance
         if target >= self.config.num_layers:
             return PolicyAction()
-        instructions = []
-        for b in range(ctx.batch_size):
-            predicted = ctx.speculate(
-                b,
-                target,
-                self.prefetch_distance,
-                noise_multiplier=self.predictor_quality,
-            )
-            instructions.extend(
-                self.instructions_for_topk(target, predicted, self.config.top_k)
-            )
+        block = self.concat_blocks(
+            [
+                self.topk_block(
+                    target,
+                    ctx.speculate(
+                        b,
+                        target,
+                        self.prefetch_distance,
+                        noise_multiplier=self.predictor_quality,
+                    ),
+                    self.config.top_k,
+                )
+                for b in range(ctx.batch_size)
+            ]
+        )
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=block,
             sync_overheads={"predict": self.PREDICT_SECONDS},
         )
 
     def on_expert_served(self, expert: ExpertId, hit: bool, now: float) -> None:
         self._lfu.touch(expert, now)
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        return self._lfu.eviction_priority(expert, now)
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        return self._lfu.eviction_score_matrix(now)

@@ -11,13 +11,12 @@ use is layer-sequential, so the most recently used expert is the one
 *least* likely to be needed next.
 
 The scorer keeps its state in dense ``(L, J)`` arrays so the pool's
-single-victim eviction reads every candidate's score from one flat matrix
+victim scan reads every candidate's score from one flat matrix
 (:meth:`FMoECacheScorer.score_matrix`, surfaced to the pool as the
-policy's ``eviction_score_matrix``) instead of one Python call per
-candidate.  The score matrix is maintained incrementally —
-``touch`` updates one cell, prediction merges refresh one row, and only
-the per-iteration reset triggers a lazy full rebuild — so keeping it
-current costs O(J) per mutation instead of O(L·J) per query.
+policy's ``eviction_score_matrix``).  The score matrix is maintained
+incrementally — ``touch`` updates one cell, prediction merges refresh one
+row, and only the per-iteration reset triggers a lazy full rebuild — so
+keeping it current costs O(J) per mutation instead of O(L·J) per query.
 """
 
 from __future__ import annotations
@@ -98,18 +97,14 @@ class FMoECacheScorer:
         """Recorded cache visits of ``expert``."""
         return int(self._freq[expert.layer, expert.expert])
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        """PRI_evict = 1 / (p · freq); larger → evicted earlier."""
-        p = max(self.predicted_probability(expert), self.MIN_PROBABILITY)
-        freq = max(int(self._freq[expert.layer, expert.expert]), 1)
-        return 1.0 / (p * freq)
-
     def score_matrix(self) -> np.ndarray:
         """The dense flat ``(L·J,)`` eviction-score matrix, kept current.
 
-        Entry ``layer * num_experts + expert`` is bitwise identical to
-        :meth:`eviction_priority` for that expert (same maximum clamps,
-        same int→float promotion, one elementwise divide).
+        Entry ``layer * num_experts + expert`` is PRI_evict = 1 / (p ·
+        freq) with p clamped below at :attr:`MIN_PROBABILITY` and freq at
+        1 (int→float promotion, one divide); larger → evicted earlier.
+        The incremental row and cell updates compute the same expression,
+        so the matrix is bitwise identical however it was built.
         """
         if self._scores is None:
             self._scores = 1.0 / (

@@ -113,8 +113,6 @@ class FMoEPolicy(BasePolicy):
         """Externally owned store to attach to instead of building one —
         cluster replicas configured for a shared store all learn into (and
         search) the same map collection."""
-        self._lru = LRUTracker()
-        self._lfu = LFUTracker()
         self.store: ExpertMapStore | None = None
         self.matcher: ExpertMapMatcher | None = None
         self.scorer: FMoECacheScorer | None = None
@@ -162,6 +160,8 @@ class FMoEPolicy(BasePolicy):
         self.scorer = FMoECacheScorer(
             config.num_layers, config.experts_per_layer
         )
+        self._lru = LRUTracker(config.num_layers, config.experts_per_layer)
+        self._lfu = LFUTracker(config.num_layers, config.experts_per_layer)
 
     def warm(self, traces: Sequence) -> None:
         if self.store is None:
@@ -192,9 +192,8 @@ class FMoEPolicy(BasePolicy):
         priorities, per-lane counts): each lane's experts chosen by the
         similarity threshold δ = clip(1 − score) (or a fixed top-K), in
         lane-major order, with priorities ``p / gap`` — one
-        argsort/cumsum pass instead of one selection and one
-        ``PrefetchInstruction`` per lane and expert.  δ is float64
-        whatever the scores' dtype, as the scalar
+        argsort/cumsum pass instead of one selection per lane.  δ is
+        float64 whatever the scores' dtype, as the scalar
         :func:`~repro.core.prefetch.selection_threshold` computes it.
         """
         rows = rows32.astype(np.float64)
@@ -356,19 +355,14 @@ class FMoEPolicy(BasePolicy):
         elif self.eviction_algorithm == "lfu":
             self._lfu.touch(expert, now)
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        """Dispatch on the configured cache algorithm (Fig. 12b ablation)."""
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        """Flat ``(L·J,)`` eviction scores of the configured cache
+        algorithm (Fig. 12b ablation)."""
         if self.eviction_algorithm == "lru":
-            return self._lru.eviction_priority(expert, now)
+            return self._lru.eviction_score_matrix(now)
         if self.eviction_algorithm == "lfu":
-            return self._lfu.eviction_priority(expert, now)
+            return self._lfu.eviction_score_matrix(now)
         assert self.scorer is not None
-        return self.scorer.eviction_priority(expert, now)
-
-    def eviction_score_matrix(self, now: float) -> np.ndarray | None:
-        """Dense flat ``(L·J,)`` score matrix for the pool's victim sort."""
-        if self.eviction_algorithm != "fmoe" or self.scorer is None:
-            return None
         return self.scorer.score_matrix()
 
     # ------------------------------------------------------------------ #

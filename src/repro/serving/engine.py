@@ -45,25 +45,16 @@ from repro.types import ExpertId, Stage
 
 
 @dataclass
-class PrefetchInstruction:
-    """One policy-requested expert prefetch with its issue priority."""
-
-    expert: ExpertId
-    priority: float = 0.0
-
-
-@dataclass
 class PolicyAction:
     """What a policy hook asks the engine to do.
 
     ``sync_overheads`` name → seconds added to the critical path (used by
     synchronous baselines and for fMoE's context collection).
-    ``async_overheads`` name → seconds that delay when the prefetch
-    instructions reach the PCIe queue but do not block compute (fMoE's
-    asynchronous matcher).
+    ``async_overheads`` name → seconds that delay when the prefetches
+    reach the PCIe queue but do not block compute (fMoE's asynchronous
+    matcher).
     """
 
-    prefetch: list[PrefetchInstruction] = field(default_factory=list)
     sync_overheads: dict[str, float] = field(default_factory=dict)
     async_overheads: dict[str, float] = field(default_factory=dict)
     block_until_arrival: bool = False
@@ -71,13 +62,16 @@ class PolicyAction:
     issued by this action has landed (Mixtral-Offloading, MoE-Infinity)."""
 
     prefetch_block: tuple[np.ndarray, np.ndarray] | None = None
-    """Columnar alternative to ``prefetch``: a pair of equal-length arrays
-    (flat expert ids ``layer * J + j`` as int64, priorities as float64).
-    The engine issues the block in stable descending-priority order —
-    byte-identical to the equivalent instruction list, without one
-    ``PrefetchInstruction`` object per expert.  When both forms are set,
-    the block is materialized and appended to ``prefetch`` so a single
-    sort orders everything."""
+    """The prefetches: a pair of equal-length arrays (flat expert ids
+    ``layer * J + j`` as int64, priorities as float64).  The engine
+    issues them in stable descending-priority order, so equal
+    priorities keep emission order."""
+
+    @property
+    def prefetch(self) -> tuple[()]:
+        # Read only by perfbench's prefetch counter, which predates the
+        # block form; every prefetch is in ``prefetch_block``.
+        return ()
 
 
 class IterationContext:
@@ -189,8 +183,9 @@ class Policy(Protocol):
         """Act after the last layer (the map-update point)."""
         ...
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        """Score an eviction candidate; higher is evicted first."""
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        """Every expert's eviction score, flat ``(L·J,)`` float64 indexed
+        by ``layer * J + j``; higher is evicted first."""
         ...
 
 
@@ -247,8 +242,8 @@ class ServingEngine:
         # may flip these around a serve to shed optional work under
         # overload.  Defaults preserve full service exactly.
         self.prefetch_enabled = True
-        """When False, policy prefetch instructions are discarded (ladder
-        rung 1: PCIe bandwidth is reserved for on-demand loads)."""
+        """When False, policy prefetches are discarded (ladder rung 1:
+        PCIe bandwidth is reserved for on-demand loads)."""
 
         self.force_substitution = False
         """When True, expert misses are served by nearest-resident
@@ -917,64 +912,23 @@ class ServingEngine:
         for name, seconds in action.async_overheads.items():
             breakdown.add_async(name, seconds)
             issue_time += seconds
-        if not self.prefetch_enabled:
-            return
-        block = action.prefetch_block
-        instructions = action.prefetch
-        if block is not None and instructions:
-            # Mixed form: materialize the block so one sort orders the
-            # combined set (rare — policies emit one form or the other).
-            width = self.config.experts_per_layer
-            ids, priorities = block
-            instructions = instructions + [
-                PrefetchInstruction(
-                    expert=ExpertId(int(i) // width, int(i) % width),
-                    priority=float(p),
-                )
-                for i, p in zip(ids, priorities)
-            ]
-            block = None
-        if block is not None:
-            self._issue_prefetch_block(action, block, breakdown, issue_time)
-            return
-        if not instructions:
-            return
-        ordered = sorted(
-            instructions, key=lambda ins: ins.priority, reverse=True
-        )
-        load_seconds = self.hardware.expert_load_seconds(self.config)
-        latest_arrival = self._now
-        scheduled = 0
-        for instruction in ordered:
-            status = self.pool.prefetch(instruction.expert, issue_time)
-            if status == "scheduled":
-                scheduled += 1
-                breakdown.add_async("prefetch_transfer", load_seconds)
-                arrival = self.pool.arrival_time(instruction.expert)
-                if arrival is not None:
-                    latest_arrival = max(latest_arrival, arrival)
-        if scheduled:
-            self._emit(EventKind.PREFETCH_ISSUED, detail=float(scheduled))
-        if action.block_until_arrival and latest_arrival > self._now:
-            breakdown.add_sync("sync_prefetch_wait", latest_arrival - self._now)
-            self._now = latest_arrival
+        if self.prefetch_enabled and action.prefetch_block is not None:
+            self._issue_prefetch_block(action, breakdown, issue_time)
 
     def _issue_prefetch_block(
         self,
         action: PolicyAction,
-        block: tuple[np.ndarray, np.ndarray],
         breakdown: LatencyBreakdown,
         issue_time: float,
     ) -> None:
-        """Issue a prefetch block in descending-priority order.
+        """Issue the action's prefetch block in descending-priority order.
 
-        Byte-identical to routing the same experts through the instruction
-        list: the stable argsort of negated priorities reproduces Python's
-        stable descending sort (ties keep emission order), and already
-        tracked experts are skipped with a dict-membership test — exactly
-        the pool's side-effect-free ``"present"`` early return.
+        The stable argsort of negated priorities keeps emission order
+        among ties, and experts the pool already tracks are skipped with
+        a dict-membership test — exactly the pool's side-effect-free
+        ``"present"`` early return.
         """
-        ids, priorities = block
+        ids, priorities = action.prefetch_block
         if len(ids) == 0:
             return
         order = np.argsort(-priorities, kind="stable")

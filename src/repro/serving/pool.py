@@ -34,32 +34,24 @@ from repro.serving.memory import TransferChannel, TransferTask
 from repro.types import ExpertId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.serving.engine import ServingEngine
 
 
 class EvictionOracle(Protocol):
-    """Scores eviction candidates; higher scores are evicted first.
+    """Scores eviction candidates; higher scores are evicted first."""
 
-    An oracle may additionally expose the dense form
-
-        ``eviction_score_matrix(now: float) -> np.ndarray | None``
-
-    returning every expert's score indexed by flat ``layer *
-    experts_per_layer + expert`` (or None to decline).  The pool uses it
-    to pick its victim without one scoring call per candidate; oracles
-    that lack or decline it (the baselines, fMoE's lru/lfu ablations)
-    are asked for :meth:`eviction_priority` once per candidate.
-    """
-
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
-        """Score an eviction candidate; higher is evicted first."""
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
+        """Every expert's score, flat ``(L·J,)`` float64 indexed by
+        ``layer * experts_per_layer + expert``."""
         ...
 
 
 class _EvictNothing:
     """Fallback oracle that refuses to evict (used before policy attach)."""
 
-    def eviction_priority(self, expert: ExpertId, now: float) -> float:
+    def eviction_score_matrix(self, now: float) -> np.ndarray:
         raise CapacityError(
             "pool must evict but no eviction oracle is attached"
         )
@@ -480,42 +472,26 @@ class ExpertPool:
         # per-candidate method-call overhead of ``is_ready`` matters.
         protected = self.protected
         tasks = self._tasks
-        # Dense scoring when the oracle exposes its score matrix: the
-        # victim comes from O(1) array lookups instead of one Python
-        # scoring call per candidate.  The matrix holds exactly the scores
-        # ``eviction_priority`` returns, so both paths evict the same
-        # victim.
-        dense = getattr(self._oracle, "eviction_score_matrix", None)
-        matrix = dense(now) if dense is not None else None
-        if matrix is not None:
-            # Take the first strict maximum in residency-set iteration
-            # order — exactly what ``max`` over the candidates returns —
-            # without building a candidate list.
-            width = self.model.experts_per_layer
-            best = None
-            best_score = float("-inf")
-            for e in device.resident:
-                if e in protected:
-                    continue
-                task = tasks[e]
-                if task is not None and task.end > now:
-                    continue
-                score = matrix[e.layer * width + e.expert]
-                if score > best_score:
-                    best_score = score
-                    best = e
-        else:
-            candidates = [
-                e
-                for e in device.resident
-                if e not in protected
-                and ((task := tasks[e]) is None or task.end <= now)
-            ]
-            best = max(
-                candidates,
-                key=lambda e: self._oracle.eviction_priority(e, now),
-                default=None,
-            )
+        # One victim scan: the first strict maximum in residency-set
+        # iteration order.  The oracle is asked for its scores only once a
+        # candidate exists, so an oracle that refuses to evict raises
+        # exactly when there is something it would have to evict.
+        width = self.model.experts_per_layer
+        scores = None
+        best = None
+        best_score = float("-inf")
+        for e in device.resident:
+            if e in protected:
+                continue
+            task = tasks[e]
+            if task is not None and task.end > now:
+                continue
+            if scores is None:
+                scores = self._oracle.eviction_score_matrix(now)
+            score = scores[e.layer * width + e.expert]
+            if score > best_score:
+                best_score = score
+                best = e
         if best is not None:
             self.evict(best)
             # Still checked: a byte ledger that leaks on eviction fails here.

@@ -93,8 +93,8 @@ class _HottestFirstOracle:
     def __init__(self, policy) -> None:
         self._policy = policy
 
-    def eviction_priority(self, expert, now):
-        return -self._policy.eviction_priority(expert, now)
+    def eviction_score_matrix(self, now):
+        return -self._policy.eviction_score_matrix(now)
 
 
 def _evict_hottest(engine: "ServingEngine") -> None:
@@ -102,7 +102,7 @@ def _evict_hottest(engine: "ServingEngine") -> None:
 
 
 class _PrefetchStripper:
-    """Delegates every policy hook but discards prefetch instructions."""
+    """Delegates every policy hook but discards its prefetches."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
@@ -113,7 +113,6 @@ class _PrefetchStripper:
 
     def _strip(self, action):
         if action is not None:
-            action.prefetch = []
             action.prefetch_block = None
         return action
 

@@ -7,11 +7,14 @@ production paths that a reference engine reaches without a switch:
 - :class:`ReferenceTrajectoryMatch` re-matches the whole observed prefix
   at every layer (the naive Eq. 5), where the production policy folds
   one iteration's layers incrementally and plans them up front;
-- :class:`ReferenceFMoEPolicy` emits one ``PrefetchInstruction`` per
-  expert through the scalar selection helpers, where the production
-  policy emits columnar prefetch blocks; it exposes no dense eviction
-  matrix, so the pool sorts candidates by ``eviction_priority`` one
-  call each (the path the baselines and the lru/lfu ablations take);
+- :class:`ReferenceFMoEPolicy` selects each lane's experts through the
+  scalar selection helpers and appends them one at a time, in emission
+  order, to the prefetch block it hands the engine, where the production
+  policy selects every lane in one vectorized pass; its eviction scores
+  are computed one candidate cell at a time, as the pool reads them,
+  with the scalar 1/(p·freq) formula over the scorer's probabilities and
+  visit counts, where the production policy reads the scorer's
+  incrementally kept matrix;
 - :func:`reference_engine` subscribes a no-op observer, which sends
   every layer through ``_serve_layer``'s general per-expert loop instead
   of its all-hit fast path.
@@ -38,7 +41,7 @@ from repro.core.prefetch import (
     selection_threshold,
 )
 from repro.core.store import ExpertMapStore
-from repro.serving.engine import PolicyAction, PrefetchInstruction
+from repro.serving.engine import PolicyAction
 from repro.serving.events import EngineObserver
 from repro.types import ExpertId
 
@@ -112,8 +115,8 @@ class ReferenceTrajectoryMatch:
 
 
 class ReferenceFMoEPolicy(FMoEPolicy):
-    """fMoE with per-layer matching, per-expert prefetch instructions and
-    per-candidate eviction scoring."""
+    """fMoE with per-layer matching, per-expert prefetch selection and
+    per-cell eviction scoring."""
 
     _session: ReferenceTrajectoryMatch | None = None
     """The current iteration's per-layer trajectory search."""
@@ -147,25 +150,34 @@ class ReferenceFMoEPolicy(FMoEPolicy):
         top = np.argsort(row)[::-1][: self.config.top_k]
         return top
 
-    def _instructions_for_layer(
+    def _lane_entries(
         self,
         row: np.ndarray,
         score: float,
         target_layer: int,
         current_layer: int,
-    ) -> list[PrefetchInstruction]:
+    ) -> list[tuple[int, float]]:
+        """One lane's (flat id, priority) prefetches, in emission order."""
         assert self.scorer is not None
         self.scorer.update_prediction_row(target_layer, row)
         selected = self._select(row, score)
+        width = self.config.experts_per_layer
         return [
-            PrefetchInstruction(
-                expert=ExpertId(target_layer, int(j)),
-                priority=prefetch_priority(
-                    float(row[j]), target_layer, current_layer
-                ),
+            (
+                target_layer * width + int(j),
+                prefetch_priority(float(row[j]), target_layer, current_layer),
             )
             for j in selected
         ]
+
+    @staticmethod
+    def _block(
+        entries: list[tuple[int, float]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The prefetch block holding ``entries`` in emission order."""
+        ids = np.array([flat for flat, _ in entries], dtype=np.int64)
+        priorities = np.array([p for _, p in entries], dtype=np.float64)
+        return ids, priorities
 
     def on_iteration_start(self, ctx) -> PolicyAction:
         assert self.store is not None and self.matcher is not None
@@ -192,15 +204,13 @@ class ReferenceFMoEPolicy(FMoEPolicy):
             if self.use_trajectory
             else self.config.num_layers
         )
-        instructions: list[PrefetchInstruction] = []
+        entries: list[tuple[int, float]] = []
         for b in range(ctx.batch_size):
             score = float(result.scores[b])
             for layer in range(horizon):
                 row = self.matcher.matched_row(result, b, layer)
-                instructions.extend(
-                    self._instructions_for_layer(row, score, layer, -1)
-                )
-        action.prefetch = instructions
+                entries.extend(self._lane_entries(row, score, layer, -1))
+        action.prefetch_block = self._block(entries)
         action.async_overheads = {"map_match": self.matcher.match_seconds()}
         return action
 
@@ -219,21 +229,40 @@ class ReferenceFMoEPolicy(FMoEPolicy):
         if result is None or target >= self.config.num_layers:
             return PolicyAction()
         self.trajectory_score_log.extend(float(s) for s in result.scores)
-        instructions: list[PrefetchInstruction] = []
+        entries: list[tuple[int, float]] = []
         for b in range(ctx.batch_size):
             score = float(result.scores[b])
             row = self.matcher.matched_row(result, b, target)
-            instructions.extend(
-                self._instructions_for_layer(row, score, target, layer)
-            )
+            entries.extend(self._lane_entries(row, score, target, layer))
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=self._block(entries),
             async_overheads={"map_match": self.matcher.match_seconds()},
         )
 
-    def eviction_score_matrix(self, now: float) -> None:
-        """Decline the dense form: the pool scores candidates one by one."""
-        return None
+    def eviction_score_matrix(self, now: float):
+        """fMoE's scores as :class:`PerCandidateScores`; the lru/lfu
+        ablations keep the production trackers."""
+        if self.eviction_algorithm != "fmoe":
+            return super().eviction_score_matrix(now)
+        assert self.scorer is not None
+        return PerCandidateScores(self.scorer)
+
+
+class PerCandidateScores:
+    """fMoE's eviction vector as the pool reads it: each cell is computed
+    on access, one candidate at a time, with the scalar PRI_evict =
+    1 / (p · freq) formula over the scorer's probability and visit count
+    — never from the scorer's matrix."""
+
+    def __init__(self, scorer) -> None:
+        self._scorer = scorer
+
+    def __getitem__(self, flat: int) -> float:
+        scorer = self._scorer
+        expert = ExpertId(*divmod(int(flat), scorer.num_experts))
+        p = max(scorer.predicted_probability(expert), scorer.MIN_PROBABILITY)
+        freq = max(scorer.frequency(expert), 1)
+        return 1.0 / (p * freq)
 
 
 def reference_engine(world, system, policy=None, **kwargs):

@@ -1,5 +1,6 @@
 """Tests for the baseline offloading policies."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -11,7 +12,12 @@ from repro.baselines import (
     ProMoEPolicy,
 )
 from repro.baselines.base import BasePolicy, LFUTracker, LRUTracker
-from repro.errors import CapacityError
+from repro.errors import CapacityError, ConfigError
+from repro.experiments.common import (
+    POLICY_NAMES,
+    ExperimentConfig,
+    make_policy,
+)
 from repro.moe.model import MoEModel
 from repro.serving.engine import ServingEngine
 from repro.types import ExpertId
@@ -37,36 +43,29 @@ def run_policy(policy, tiny_config, hardware, traces, test, budget=16):
 
 class TestTrackers:
     def test_lru_priorities(self):
-        lru = LRUTracker()
+        lru = LRUTracker(10, 10)
         lru.touch(E(0, 0), 1.0)
         lru.touch(E(0, 1), 5.0)
-        assert lru.eviction_priority(E(0, 0), 10.0) > lru.eviction_priority(
-            E(0, 1), 10.0
-        )
+        scores = lru.eviction_score_matrix(10.0)
+        assert scores[0] > scores[1]
         # Never-touched experts are evicted first of all.
-        assert lru.eviction_priority(E(9, 9), 10.0) > lru.eviction_priority(
-            E(0, 0), 10.0
-        )
+        assert scores[99] > scores[0]
 
     def test_lfu_priorities(self):
-        lfu = LFUTracker()
+        lfu = LFUTracker(2, 2)
         for _ in range(3):
             lfu.touch(E(0, 0), 0.0)
         lfu.touch(E(0, 1), 0.0)
-        assert lfu.eviction_priority(E(0, 1), 0.0) > lfu.eviction_priority(
-            E(0, 0), 0.0
-        )
+        scores = lfu.eviction_score_matrix(0.0)
+        assert scores[1] > scores[0]
         assert lfu.frequency(E(0, 0)) == 3
 
     def test_base_policy_topk_helper(self):
-        import numpy as np
-
-        instructions = BasePolicy.instructions_for_topk(
+        ids, priorities = BasePolicy.topk_block(
             2, np.array([0.1, 0.6, 0.3]), k=2
         )
-        experts = {i.expert for i in instructions}
-        assert experts == {E(2, 1), E(2, 2)}
-        assert all(i.expert.layer == 2 for i in instructions)
+        assert ids.tolist() == [2 * 3 + 1, 2 * 3 + 2]
+        assert priorities.tolist() == [0.6, 0.3]
 
 
 class TestNoOffload:
@@ -91,7 +90,7 @@ class TestNoOffload:
 
     def test_never_evicts(self):
         with pytest.raises(CapacityError):
-            NoOffloadPolicy().eviction_priority(E(0, 0), 0.0)
+            NoOffloadPolicy().eviction_score_matrix(0.0)
 
 
 class TestDeepSpeed:
@@ -129,7 +128,7 @@ class TestMixtralOffloading:
         assert report.hit_rate > 0.3
 
     def test_invalid_distance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MixtralOffloadingPolicy(prefetch_distance=0)
 
 
@@ -156,9 +155,9 @@ class TestMoEInfinity:
         assert len(policy._eams) <= 3
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MoEInfinityPolicy(prefetch_distance=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MoEInfinityPolicy(prefetch_width_factor=0.5)
 
 
@@ -176,9 +175,9 @@ class TestProMoE:
         assert report.hit_rate > 0.0
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ProMoEPolicy(prefetch_distance=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ProMoEPolicy(predictor_quality=0.0)
 
 
@@ -200,5 +199,19 @@ class TestOracle:
         assert oracle.hit_rate > blind.hit_rate
 
     def test_invalid_distance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             OraclePolicy(prefetch_distance=0)
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_zero_prefetch_distance_is_a_config_error(name):
+    """Every system that takes the configured prefetch distance refuses
+    0 with ``ConfigError``; the others ignore the setting."""
+    config = ExperimentConfig()
+    policy = make_policy(name, config.with_(prefetch_distance=2))
+    takes_distance = getattr(policy, "prefetch_distance", None) == 2
+    if takes_distance:
+        with pytest.raises(ConfigError, match="prefetch_distance"):
+            make_policy(name, config.with_(prefetch_distance=0))
+    else:
+        make_policy(name, config.with_(prefetch_distance=0))

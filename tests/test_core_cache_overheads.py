@@ -11,6 +11,12 @@ from repro.types import ExpertId
 E = ExpertId
 
 
+def score(scorer, expert):
+    """One expert's cell of the scorer's flat eviction-score matrix."""
+    flat = expert.layer * scorer.num_experts + expert.expert
+    return scorer.score_matrix()[flat]
+
+
 class TestFMoECacheScorer:
     @pytest.fixture
     def scorer(self):
@@ -18,29 +24,23 @@ class TestFMoECacheScorer:
 
     def test_eviction_prefers_low_probability(self, scorer):
         scorer.update_prediction_row(0, np.array([0.9, 0.05, 0.03, 0.02]))
-        assert scorer.eviction_priority(E(0, 1), 0.0) > scorer.eviction_priority(
-            E(0, 0), 0.0
-        )
+        assert score(scorer, E(0, 1)) > score(scorer, E(0, 0))
 
     def test_eviction_prefers_low_frequency(self, scorer):
         scorer.update_prediction_row(0, np.array([0.5, 0.5, 0.0, 0.0]))
         for _ in range(5):
             scorer.touch(E(0, 0))
         scorer.touch(E(0, 1))
-        assert scorer.eviction_priority(E(0, 1), 0.0) > scorer.eviction_priority(
-            E(0, 0), 0.0
-        )
+        assert score(scorer, E(0, 1)) > score(scorer, E(0, 0))
 
     def test_formula(self, scorer):
         scorer.update_prediction_row(1, np.array([0.25, 0.25, 0.25, 0.25]))
         scorer.touch(E(1, 2))
         scorer.touch(E(1, 2))
-        assert scorer.eviction_priority(E(1, 2), 0.0) == pytest.approx(
-            1.0 / (0.25 * 2)
-        )
+        assert score(scorer, E(1, 2)) == pytest.approx(1.0 / (0.25 * 2))
 
     def test_unpredicted_expert_uses_floor(self, scorer):
-        priority = scorer.eviction_priority(E(2, 0), 0.0)
+        priority = score(scorer, E(2, 0))
         assert np.isfinite(priority)
         assert priority == pytest.approx(
             1.0 / FMoECacheScorer.MIN_PROBABILITY

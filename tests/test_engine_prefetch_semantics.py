@@ -2,17 +2,25 @@
 
 import pytest
 
+import numpy as np
+
 from repro.baselines.base import BasePolicy
 from repro.moe.model import MoEModel
-from repro.serving.engine import (
-    PolicyAction,
-    PrefetchInstruction,
-    ServingEngine,
-)
+from repro.serving.engine import PolicyAction, ServingEngine
 from repro.serving.request import Request
 from repro.types import ExpertId
 
 E = ExpertId
+
+
+def block(*entries):
+    """A prefetch block of (expert, priority) entries in emission order
+    (the tiny model's four experts per layer)."""
+    width = 4
+    return (
+        np.array([e.layer * width + e.expert for e, _ in entries], np.int64),
+        np.array([p for _, p in entries], np.float64),
+    )
 
 
 class OneShotPrefetcher(BasePolicy):
@@ -30,9 +38,6 @@ class OneShotPrefetcher(BasePolicy):
             return PolicyAction()
         self.fired = True
         return self._action
-
-    def eviction_priority(self, expert, now):
-        return 0.0
 
 
 def run_one(tiny_config, small_hardware, action):
@@ -58,12 +63,7 @@ class TestPriorityOrdering:
         # priority one must get the earlier channel slot.
         low = E(1, 0)
         high = E(1, 2)
-        action = PolicyAction(
-            prefetch=[
-                PrefetchInstruction(low, priority=0.1),
-                PrefetchInstruction(high, priority=9.0),
-            ]
-        )
+        action = PolicyAction(prefetch_block=block((low, 0.1), (high, 9.0)))
         engine, _ = run_one(tiny_config, small_hardware, action)
         pool = engine.pool
         assert pool.device_of(low).index == pool.device_of(high).index
@@ -77,9 +77,9 @@ class TestOverheadAccounting:
         self, tiny_config, small_hardware
     ):
         expert = E(3, 1)
-        no_delay = PolicyAction(prefetch=[PrefetchInstruction(expert)])
+        no_delay = PolicyAction(prefetch_block=block((expert, 0.0)))
         delayed = PolicyAction(
-            prefetch=[PrefetchInstruction(expert)],
+            prefetch_block=block((expert, 0.0)),
             async_overheads={"map_match": 0.25},
         )
         engine_a, report_a = run_one(tiny_config, small_hardware, no_delay)
@@ -110,10 +110,7 @@ class TestOverheadAccounting:
     ):
         expert = E(2, 1)
         action = PolicyAction(
-            prefetch=[
-                PrefetchInstruction(expert),
-                PrefetchInstruction(expert),  # duplicate instruction
-            ]
+            prefetch_block=block((expert, 0.0), (expert, 0.0))  # duplicate
         )
         engine, report = run_one(tiny_config, small_hardware, action)
         load = small_hardware.expert_load_seconds(tiny_config)

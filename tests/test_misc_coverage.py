@@ -13,8 +13,8 @@ E = ExpertId
 
 
 class KeepNothingOracle:
-    def eviction_priority(self, expert, now):
-        return 1.0
+    def eviction_score_matrix(self, now):
+        return np.ones(16)
 
 
 class TestInsertBlocking:

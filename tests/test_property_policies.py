@@ -19,16 +19,23 @@ from repro.serving.hardware import HardwareConfig
 from repro.serving.request import Request
 
 
-class InstructionAuditor(BasePolicy):
-    """Wraps a policy and records every prefetch instruction it emits."""
+class PrefetchAuditor(BasePolicy):
+    """Wraps a policy and records the target layer of every prefetch in
+    the blocks it emits."""
 
     name = "auditor"
 
     def __init__(self, inner: BasePolicy):
         super().__init__()
         self.inner = inner
-        self.start_instructions = []
-        self.layer_instructions = []  # (current_layer, target_layer)
+        self.start_targets = []
+        self.layer_targets = []  # (current_layer, target_layer)
+
+    def _targets(self, action):
+        if action.prefetch_block is None:
+            return []
+        ids = action.prefetch_block[0]
+        return [int(i) // self.config.experts_per_layer for i in ids]
 
     def attach(self, engine):
         super().attach(engine)
@@ -46,13 +53,13 @@ class InstructionAuditor(BasePolicy):
 
     def on_iteration_start(self, ctx):
         action = self.inner.on_iteration_start(ctx)
-        self.start_instructions.extend(i.expert for i in action.prefetch)
+        self.start_targets.extend(self._targets(action))
         return action
 
     def on_gate_output(self, ctx, layer):
         action = self.inner.on_gate_output(ctx, layer)
-        self.layer_instructions.extend(
-            (layer, i.expert.layer) for i in action.prefetch
+        self.layer_targets.extend(
+            (layer, target) for target in self._targets(action)
         )
         return action
 
@@ -62,8 +69,8 @@ class InstructionAuditor(BasePolicy):
     def on_expert_served(self, expert, hit, now):
         self.inner.on_expert_served(expert, hit, now)
 
-    def eviction_priority(self, expert, now):
-        return self.inner.eviction_priority(expert, now)
+    def eviction_score_matrix(self, now):
+        return self.inner.eviction_score_matrix(now)
 
 
 def policy_factory(name):
@@ -84,7 +91,7 @@ def test_prefetch_targets_are_never_in_the_past(name, seed, cluster):
     """No policy may issue a prefetch for a layer at or behind the front."""
     config = tiny_test_model()
     model = MoEModel(config, seed=0)
-    auditor = InstructionAuditor(policy_factory(name))
+    auditor = PrefetchAuditor(policy_factory(name))
     hardware = HardwareConfig(
         num_gpus=2, framework_layer_overhead_seconds=1e-3
     )
@@ -101,9 +108,12 @@ def test_prefetch_targets_are_never_in_the_past(name, seed, cluster):
     engine.run([Request(0, cluster, 6, 3, seed=seed + 1)])
 
     layers = config.num_layers
-    for expert in auditor.start_instructions:
-        assert 0 <= expert.layer < layers
-    for current, target in auditor.layer_instructions:
+    # Every audited policy prefetches on this workload, so an auditor
+    # that stops seeing a policy's prefetches fails here.
+    assert auditor.start_targets or auditor.layer_targets
+    for target in auditor.start_targets:
+        assert 0 <= target < layers
+    for current, target in auditor.layer_targets:
         assert target > current, (current, target)
         assert target < layers
 
@@ -121,9 +131,6 @@ def test_fmoe_eviction_priorities_always_finite(seed):
         hardware=HardwareConfig(num_gpus=2),
     )
     engine.run([Request(0, seed % 8, 4, 3, seed=seed)])
-    from repro.types import ExpertId
-
-    for layer in range(config.num_layers):
-        for j in range(config.experts_per_layer):
-            value = policy.eviction_priority(ExpertId(layer, j), engine.now)
-            assert np.isfinite(value) and value > 0
+    scores = policy.eviction_score_matrix(engine.now)
+    assert scores.shape == (config.num_layers * config.experts_per_layer,)
+    assert np.isfinite(scores).all() and (scores > 0).all()

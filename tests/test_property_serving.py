@@ -1,5 +1,6 @@
 """Property-based tests for the serving substrate (channels, pool, ILP)."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,8 +80,8 @@ class TestPoolProperties:
         pool = ExpertPool(config, hardware, cache_budget_bytes=budget)
 
         class AnyOracle:
-            def eviction_priority(self, expert, now):
-                return float(expert.layer * 4 + expert.expert)
+            def eviction_score_matrix(self, now):
+                return np.arange(16, dtype=np.float64)
 
         pool.set_eviction_oracle(AnyOracle())
         now = 0.0

@@ -5,12 +5,7 @@ import pytest
 
 from repro.baselines.base import BasePolicy
 from repro.errors import ConfigError
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-    ServingEngine,
-)
+from repro.serving.engine import IterationContext, PolicyAction, ServingEngine
 from repro.serving.request import Request
 from repro.types import ExpertId, Stage
 
@@ -46,8 +41,15 @@ class RecordingPolicy(BasePolicy):
         self.iteration_ends += 1
         return PolicyAction()
 
-    def eviction_priority(self, expert, now):
-        return float(hash(expert) % 1000)
+    def eviction_score_matrix(self, now):
+        config = self.config
+        return np.array(
+            [
+                float(hash(ExpertId(layer, j)) % 1000)
+                for layer in range(config.num_layers)
+                for j in range(config.experts_per_layer)
+            ]
+        )
 
 
 class PrefetchCurrentPlusOne(BasePolicy):
@@ -59,15 +61,13 @@ class PrefetchCurrentPlusOne(BasePolicy):
         target = layer + 1
         if target >= self.config.num_layers:
             return PolicyAction()
+        width = self.config.experts_per_layer
         return PolicyAction(
-            prefetch=[
-                PrefetchInstruction(ExpertId(target, j))
-                for j in range(self.config.experts_per_layer)
-            ]
+            prefetch_block=(
+                target * width + np.arange(width, dtype=np.int64),
+                np.zeros(width),
+            )
         )
-
-    def eviction_priority(self, expert, now):
-        return 0.0
 
 
 def make_engine(model, policy, hardware, budget_experts=64):

@@ -1,6 +1,7 @@
 """Fault injection and graceful degradation: schedule, retries, failover,
 shedding, and deterministic replay."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.base import BasePolicy
@@ -31,11 +32,19 @@ from repro.types import ExpertId
 E = ExpertId
 
 
-class FifoOracle:
-    """Evicts lowest (layer, expert) first, deterministically."""
+def fifo_scores(num_layers, experts_per_layer):
+    """Flat scores that evict the lowest (layer, expert) first."""
+    layers, experts = np.divmod(
+        np.arange(num_layers * experts_per_layer), experts_per_layer
+    )
+    return -(layers * 1000.0 + experts)
 
-    def eviction_priority(self, expert, now):
-        return -(expert.layer * 1000 + expert.expert)
+
+class FifoOracle:
+    """Evicts lowest (layer, expert) first, deterministically (4×4)."""
+
+    def eviction_score_matrix(self, now):
+        return fifo_scores(4, 4)
 
 
 class PlainPolicy(BasePolicy):
@@ -43,8 +52,9 @@ class PlainPolicy(BasePolicy):
 
     name = "plain"
 
-    def eviction_priority(self, expert, now):
-        return -(expert.layer * 1000 + expert.expert)
+    def eviction_score_matrix(self, now):
+        config = self.config
+        return fifo_scores(config.num_layers, config.experts_per_layer)
 
 
 class ScriptedFaults:

@@ -1,5 +1,6 @@
 """Tests for the expert pool: residency, budgets, eviction, urgency."""
 
+import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigError
@@ -12,15 +13,11 @@ E = ExpertId
 
 
 class FifoOracle:
-    """Evicts lowest (layer, expert) first, deterministically."""
+    """Evicts lowest (layer, expert) first, deterministically (4×4)."""
 
-    def eviction_priority(self, expert, now):
-        return -(expert.layer * 1000 + expert.expert)
-
-
-class KeepAllOracle:
-    def eviction_priority(self, expert, now):
-        return 0.0
+    def eviction_score_matrix(self, now):
+        layers, experts = np.divmod(np.arange(16), 4)
+        return -(layers * 1000.0 + experts)
 
 
 @pytest.fixture
