@@ -22,6 +22,7 @@ from repro.cluster.config import (
     REPLICA_PROFILES,
     ROUTER_NAMES,
 )
+from repro.errors import ConfigError
 from repro.experiments.common import (
     POLICY_NAMES,
     SYSTEM_NAMES,
@@ -1180,8 +1181,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     entry = next(c for c in COMMANDS if c.name == args.command)
-    world = _world_args in entry.groups
-    config = _config_from_args(args) if world else None
+    config = None
+    if _world_args in entry.groups:
+        try:
+            config = _config_from_args(args)
+        except ConfigError as exc:
+            args.parser.error(str(exc))
     return entry.handler(args, config)
 
 

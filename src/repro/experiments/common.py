@@ -72,6 +72,13 @@ class ExperimentConfig:
     seed: int = 0
     hardware: HardwareConfig = field(default_factory=lambda: DEFAULT_HARDWARE)
 
+    def __post_init__(self) -> None:
+        for name in ("prefetch_distance", "store_capacity", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
+
     def resolve_budget(self, model: MoEModelConfig) -> int:
         """Expert-cache bytes for ``model`` under this configuration."""
         if self.cache_budget_bytes is not None:

@@ -425,7 +425,7 @@ class Telemetry(EngineObserver):
                 category="transfer",
                 expert=str(expert),
                 device=device,
-                bytes=getattr(task, "num_bytes", 0),
+                bytes=task.num_bytes,
             )
         self._transfers.clear()
         self.events_dropped.set(self.dropped)

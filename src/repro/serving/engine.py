@@ -404,36 +404,15 @@ class ServingEngine:
             ):
                 request = backlog[index]
                 index += 1
-                if not self.shed_overdue([request], report):
-                    continue
-                session = self.model.start_session(
-                    request.cluster,
-                    request.input_tokens,
-                    request.output_tokens,
-                    seed=request.seed,
-                )
-                metrics = RequestMetrics(
-                    request_id=request.request_id,
-                    arrival_time=request.arrival_time,
-                    start_time=self._now,
-                    ttft=0.0,
-                )
-                self.policy.on_request_start(request, session.embedding)
-                active.append(_ActiveRequest(request, session, metrics))
-
-            start_time = self._now
-            hits_before, misses_before = report.hits, report.misses
-            self._run_iteration(active, iteration, report)
-            self._attribute_counts(
-                active, report, hits_before, misses_before
-            )
-            elapsed = self._now - start_time
-            for entry in list(active):
-                if self._end_iteration(entry, elapsed, report):
-                    report.requests.append(entry.metrics)
-                    active.remove(entry)
+                if self.shed_overdue([request], report):
+                    active.append(self._admit(request, request.arrival_time))
+            if not active:
+                # Every due request was shed: idle to the next arrival.
+                continue
+            for entry in self._step(active, iteration, report):
+                report.requests.append(entry.metrics)
+                active.remove(entry)
             iteration += 1
-            report.iterations += 1
         return self.finalize_report(report, retries_before)
 
     def _end_iteration(
@@ -589,43 +568,69 @@ class ServingEngine:
         report: ServingReport,
         respect_arrivals: bool = False,
     ) -> None:
-        active: list[_ActiveRequest] = []
-        for request in batch:
-            session = self.model.start_session(
-                request.cluster,
-                request.input_tokens,
-                request.output_tokens,
-                seed=request.seed,
-            )
-            # Online runs measure latency from the trace arrival time
-            # (queueing included, Fig. 10); offline runs measure from the
-            # moment the request starts being served (Fig. 9 methodology).
-            arrival = request.arrival_time if respect_arrivals else self._now
-            metrics = RequestMetrics(
-                request_id=request.request_id,
-                arrival_time=arrival,
-                start_time=self._now,
-                ttft=0.0,
-            )
-            self.policy.on_request_start(request, session.embedding)
-            active.append(_ActiveRequest(request, session, metrics))
-
+        # Online runs measure latency from the trace arrival time
+        # (queueing included, Fig. 10); offline runs measure from the
+        # moment the request starts being served (Fig. 9 methodology).
+        active = [
+            self._admit(r, r.arrival_time if respect_arrivals else self._now)
+            for r in batch
+        ]
+        current = [a for a in active if not a.finished]
         iteration = 0
-        while any(not a.finished for a in active):
-            current = [a for a in active if not a.finished]
-            start_time = self._now
-            hits_before, misses_before = report.hits, report.misses
-            self._run_iteration(current, iteration, report)
-            self._attribute_counts(
-                current, report, hits_before, misses_before
-            )
-            elapsed = self._now - start_time
-            for entry in current:
-                self._end_iteration(entry, elapsed, report)
+        while current:
+            self._step(current, iteration, report)
+            current = [a for a in current if not a.finished]
             iteration += 1
-            report.iterations += 1
-
         report.requests.extend(a.metrics for a in active)
+
+    def _admit(self, request: Request, arrival: float) -> _ActiveRequest:
+        """Start serving ``request``: its session, its metrics (latency
+        measured from ``arrival``) and the policy's request hook."""
+        session = self.model.start_session(
+            request.cluster,
+            request.input_tokens,
+            request.output_tokens,
+            seed=request.seed,
+        )
+        metrics = RequestMetrics(
+            request_id=request.request_id,
+            arrival_time=arrival,
+            start_time=self._now,
+            ttft=0.0,
+        )
+        self.policy.on_request_start(request, session.embedding)
+        return _ActiveRequest(request, session, metrics)
+
+    def _step(
+        self,
+        active: list[_ActiveRequest],
+        iteration: int,
+        report: ServingReport,
+    ) -> list[_ActiveRequest]:
+        """Run one iteration over ``active`` with its per-request
+        bookkeeping; returns the entries that finished.
+
+        The iteration's hit/miss counts are split across its requests:
+        exact for single-request iterations, an even split otherwise (the
+        engine resolves residency on the batch's activation union).
+        """
+        start_time = self._now
+        hits_before, misses_before = report.hits, report.misses
+        self._run_iteration(active, iteration, report)
+        share = 1.0 / len(active)
+        hit_delta = (report.hits - hits_before) * share
+        miss_delta = (report.misses - misses_before) * share
+        for entry in active:
+            entry.metrics.hits += hit_delta
+            entry.metrics.misses += miss_delta
+        elapsed = self._now - start_time
+        finished = [
+            entry
+            for entry in active
+            if self._end_iteration(entry, elapsed, report)
+        ]
+        report.iterations += 1
+        return finished
 
     def _run_iteration(
         self,
@@ -686,12 +691,7 @@ class ServingEngine:
             self.pool.protected = set(hits_at_gate)
             self._apply(self.policy.on_gate_output(ctx, layer), breakdown)
             self._serve_layer(
-                ctx,
-                layer,
-                prefill_tokens,
-                has_decode,
-                report,
-                hits_at_gate,
+                layer, prefill_tokens, has_decode, report, hits_at_gate
             )
             for observer in observers:
                 observer.layer_end(self._now)
@@ -701,27 +701,6 @@ class ServingEngine:
         for observer in observers:
             observer.iteration_end(self._now, self.pool, self.kv_tracker)
         breakdown.add_sync("compute", 0.0)  # ensure key exists
-
-    @staticmethod
-    def _attribute_counts(
-        active: list["_ActiveRequest"],
-        report: ServingReport,
-        hits_before: int,
-        misses_before: int,
-    ) -> None:
-        """Split an iteration's hit/miss counts across its requests.
-
-        Exact for single-request iterations; an even split otherwise (the
-        engine resolves residency on the batch's activation union).
-        """
-        if not active:
-            return
-        share = 1.0 / len(active)
-        hit_delta = (report.hits - hits_before) * share
-        miss_delta = (report.misses - misses_before) * share
-        for entry in active:
-            entry.metrics.hits += hit_delta
-            entry.metrics.misses += miss_delta
 
     def _layer_union(self, ctx: IterationContext, layer: int) -> list[ExpertId]:
         activated = ctx.activated_at(layer)
@@ -742,110 +721,78 @@ class ServingEngine:
 
     def _serve_layer(
         self,
-        ctx: IterationContext,
         layer: int,
         prefill_tokens: int,
         has_decode: bool,
         report: ServingReport,
         hits_at_gate: dict[ExpertId, bool],
     ) -> None:
-        experts = list(hits_at_gate)
         expert_seconds = self._mixed_expert_seconds(
-            prefill_tokens, has_decode, len(experts)
+            prefill_tokens, has_decode, len(hits_at_gate)
         )
         if self.faults is not None:
             expert_seconds *= self.faults.compute_multiplier(self._now)
-        breakdown = report.breakdown
+        sync = report.breakdown.sync
         observers = self.observers
-        if not observers and all(hits_at_gate.values()):
-            # All-hit layers (the steady state once prefetching warms up)
-            # need none of the miss machinery: hits stay ready for the
-            # whole layer because the pool protects them, so the per-expert
-            # readiness re-check, event emission, and stall handling are
-            # provably no-ops.  Serve callbacks and the virtual clock are
-            # folded locally in the same left-to-right order as the general
-            # loop below, so every float lands bitwise identically.
-            count = len(experts)
-            if count:
-                report.hits += count
-                report.layer_hits[layer] += count
-                now = self._now
-                on_served = self.policy.on_expert_served
-                compute = breakdown.sync["compute"]
-                for expert in experts:
-                    on_served(expert, True, now)
-                    now += expert_seconds
-                    compute += expert_seconds
-                breakdown.sync["compute"] = compute
-                self._now = now
-            self.pool.protected = set()
-            return
-        for expert in experts:
-            hit = hits_at_gate[expert]
+        pool = self.pool
+        protected = pool.protected
+        on_served = self.policy.on_expert_served
+        for expert, hit in hits_at_gate.items():
             serve_start = self._now
-            stall_seconds = 0.0
-            stall_cause = None
+            stall: EventKind | None = None
             if hit:
+                # No readiness probe: the pool protects a hit from
+                # eviction, and an urgent load pauses only copies that
+                # have not started, so it stays ready for the whole layer.
                 report.hits += 1
                 report.layer_hits[layer] += 1
-                self._emit(EventKind.EXPERT_HIT, layer=layer, expert=expert)
+                if observers:
+                    self._emit(EventKind.EXPERT_HIT, layer=layer, expert=expert)
             else:
                 report.misses += 1
                 report.layer_misses[layer] += 1
                 self._emit(EventKind.EXPERT_MISS, layer=layer, expert=expert)
-            if not self.pool.is_ready(expert, self._now):
-                arrival = self.pool.arrival_time(expert)
-                if arrival is not None:
-                    # Prefetched but still on the wire: stall until arrival.
-                    breakdown.add_sync("prefetch_stall", arrival - self._now)
-                    report.prefetch_stall_misses += 1
-                    self._emit(
-                        EventKind.PREFETCH_STALL,
-                        layer=layer,
-                        expert=expert,
-                        detail=arrival - self._now,
-                    )
-                    stall_seconds = arrival - self._now
-                    stall_cause = "prefetch_stall"
-                    for observer in observers:
-                        observer.stall_span(
-                            "prefetch_stall", self._now, arrival, expert, layer
-                        )
-                    self._now = arrival
-                elif self.force_substitution:
-                    # Rung-2 degradation: under overload the dispatcher
-                    # trades accuracy for latency deliberately — no
-                    # transfer is started, the activation is served by
-                    # the nearest resident expert.
-                    self._serve_degraded(expert, layer, report)
-                else:
-                    try:
-                        done = self.pool.load_on_demand(expert, self._now)
-                    except (TransferError, DeviceLostError):
-                        if not self.slo.substitute_on_failure:
-                            raise
-                        # Degraded serving: stand in a resident expert
-                        # rather than blocking on a link that keeps
-                        # failing (or no longer exists).
+                arrival = pool.arrival_time(expert)
+                if arrival is None:
+                    if self.force_substitution:
+                        # Rung-2 degradation: under overload the dispatcher
+                        # trades accuracy for latency deliberately — no
+                        # transfer is started, the activation is served by
+                        # the nearest resident expert.
                         self._serve_degraded(expert, layer, report)
                     else:
-                        breakdown.add_sync("ondemand_load", done - self._now)
-                        self._emit(
-                            EventKind.ONDEMAND_LOAD,
-                            layer=layer,
-                            expert=expert,
-                            detail=done - self._now,
-                        )
-                        stall_seconds = done - self._now
-                        stall_cause = "ondemand_load"
-                        for observer in observers:
-                            observer.stall_span(
-                                "ondemand_load", self._now, done, expert, layer
-                            )
-                        self._now = done
-            self.policy.on_expert_served(expert, hit, self._now)
+                        try:
+                            arrival = pool.load_on_demand(expert, self._now)
+                        except (TransferError, DeviceLostError):
+                            if not self.slo.substitute_on_failure:
+                                raise
+                            # Degraded serving: stand in a resident expert
+                            # rather than blocking on a link that keeps
+                            # failing (or no longer exists).
+                            self._serve_degraded(expert, layer, report)
+                        else:
+                            stall = EventKind.ONDEMAND_LOAD
+                elif arrival > self._now:
+                    # Prefetched but still on the wire: stall until arrival.
+                    stall = EventKind.PREFETCH_STALL
+                    report.prefetch_stall_misses += 1
+            stall_seconds = 0.0
+            stall_cause = None
+            if stall is not None:
+                stall_cause = stall.value
+                stall_seconds = arrival - self._now
+                sync[stall_cause] += stall_seconds
+                self._emit(
+                    stall, layer=layer, expert=expert, detail=stall_seconds
+                )
+                for observer in observers:
+                    observer.stall_span(
+                        stall_cause, self._now, arrival, expert, layer
+                    )
+                self._now = arrival
+            on_served(expert, hit, self._now)
             self._now += expert_seconds
-            breakdown.add_sync("compute", expert_seconds)
+            sync["compute"] += expert_seconds
             for observer in observers:
                 observer.serve_span(
                     serve_start,
@@ -858,8 +805,8 @@ class ServingEngine:
                 )
             # A computed expert no longer needs pinning; releasing it keeps
             # tight per-device budgets feasible for the rest of the layer.
-            self.pool.protected.discard(expert)
-        self.pool.protected = set()
+            protected.discard(expert)
+        pool.protected = set()
 
     # ------------------------------------------------------------------ #
     # Helpers

@@ -30,13 +30,19 @@ from repro.types import ExpertId
 
 @dataclass
 class TransferTask:
-    """One scheduled host-to-device expert copy (times may shift on pause)."""
+    """One host-to-device expert copy (times may shift on pause).
+
+    The pool keeps one per tracked expert; a placement that uses no
+    channel (a preload, a blocking insert) is a zero-length task.
+    """
 
     expert: ExpertId
     start: float
     end: float
-    num_bytes: int = 0
-    """Payload size; 0 for tasks created before byte tracking existed."""
+    num_bytes: int
+    """Payload size: the expert's weight bytes."""
+    device: int
+    """Index of the GPU the expert is copied to."""
 
 
 class TransferChannel:
@@ -120,9 +126,7 @@ class TransferChannel:
         self._check_alive()
         start = max(issue_time, self._busy_until)
         end = self._wire_end(start, num_bytes)
-        task = TransferTask(
-            expert=expert, start=start, end=end, num_bytes=num_bytes
-        )
+        task = TransferTask(expert, start, end, num_bytes, self.device_index)
         self._tasks.append(task)
         self._busy_until = end
         self.bytes_transferred += num_bytes
@@ -166,9 +170,7 @@ class TransferChannel:
             task.end += duration
             if task.end > busy:
                 busy = task.end
-        task = TransferTask(
-            expert=expert, start=start, end=end, num_bytes=num_bytes
-        )
+        task = TransferTask(expert, start, end, num_bytes, self.device_index)
         live.append(task)
         self._tasks = live
         self._busy_until = busy
@@ -190,11 +192,7 @@ class TransferChannel:
             self._tasks.remove(task)
         except ValueError:
             return False
-        # Retries and degradation windows decouple wire time from payload
-        # size, so prefer the recorded payload over back-computing it.
-        self.bytes_transferred -= task.num_bytes or int(
-            (task.end - task.start) * self.bandwidth_bps
-        )
+        self.bytes_transferred -= task.num_bytes
         self._busy_until = max(
             (t.end for t in self._tasks), default=now
         )

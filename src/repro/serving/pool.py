@@ -87,9 +87,6 @@ class PoolStats:
 #: Supported expert-to-GPU placement strategies.
 PLACEMENT_STRATEGIES = ("round-robin", "layer-sharded", "hashed")
 
-#: Sentinel distinguishing "untracked" from a preloaded (None) task.
-_ABSENT = object()
-
 
 class ExpertPool:
     """Residency manager for all offloadable experts of one model."""
@@ -133,13 +130,13 @@ class ExpertPool:
             )
             for i in range(hardware.num_gpus)
         ]
-        # Tracked experts: value is the transfer task (live arrival time)
-        # or None for experts placed without a copy (preload).
-        self._tasks: dict[ExpertId, TransferTask | None] = {}
-        # Actual residence (device index) of every tracked expert.  The
-        # placement function alone cannot recover it once a device has
-        # failed and later loads were re-homed onto survivors.
-        self._home: dict[ExpertId, int] = {}
+        # The one record of every tracked (resident or in-flight) expert:
+        # its task gives the live arrival time and the device it lives
+        # on, which the placement function alone cannot recover once a
+        # device has failed and later loads were re-homed onto survivors.
+        # A placement without a copy (preload, blocking insert) is a
+        # zero-length task.
+        self._tasks: dict[ExpertId, TransferTask] = {}
         self._oracle: EvictionOracle = _EvictNothing()
         self.protected: set[ExpertId] = set()
         self.stats = PoolStats()
@@ -193,13 +190,6 @@ class ExpertPool:
         flat = expert.layer * self.model.experts_per_layer + expert.expert
         return alive[flat % len(alive)]
 
-    def _home_of(self, expert: ExpertId) -> _Device:
-        """The device a tracked expert actually lives on."""
-        index = self._home.get(expert)
-        if index is None:
-            return self.device_of(expert)
-        return self.devices[index]
-
     def is_tracked(self, expert: ExpertId) -> bool:
         """Resident or in flight."""
         return expert in self._tasks
@@ -208,8 +198,7 @@ class ExpertPool:
         """When the expert is/was usable; None if not tracked."""
         if expert not in self._tasks:
             return None
-        task = self._tasks[expert]
-        return 0.0 if task is None else task.end
+        return self._tasks[expert].end
 
     def is_ready(self, expert: ExpertId, now: float) -> bool:
         """True when the expert's weights are usable at time ``now``."""
@@ -224,18 +213,7 @@ class ExpertPool:
         :meth:`is_ready`.
         """
         tasks = self._tasks
-        flags: list[bool] = []
-        append = flags.append
-        for expert in experts:
-            task = tasks.get(expert, _ABSENT)
-            if task is _ABSENT:
-                append(False)
-            elif task is None:
-                # Preloaded: usable from time 0, as ``arrival_time`` says.
-                append(now >= 0.0)
-            else:
-                append(task.end <= now)
-        return flags
+        return [e in tasks and tasks[e].end <= now for e in experts]
 
     def used_bytes(self) -> int:
         """Total bytes of resident + in-flight expert reservations."""
@@ -249,20 +227,32 @@ class ExpertPool:
     # Mutations
     # ------------------------------------------------------------------ #
 
+    def _place(
+        self, expert: ExpertId, device: _Device, task: TransferTask
+    ) -> None:
+        """Charge ``device`` for ``expert`` and record its task."""
+        device.used_bytes += self._expert_bytes
+        device.resident.add(expert)
+        self._tasks[expert] = task
+
+    def _release(self, expert: ExpertId, device: _Device) -> None:
+        """Free ``expert``'s bytes on ``device`` and drop its record."""
+        device.resident.discard(expert)
+        device.used_bytes -= self._expert_bytes
+        del self._tasks[expert]
+
     def preload(self, experts: Iterable[ExpertId]) -> None:
-        """Place experts as resident at time 0 without charging a channel."""
+        """Place experts as resident at time 0 without charging a channel.
+
+        Raises :class:`CapacityError` on the first expert whose GPU is
+        full; the experts before it stay placed.
+        """
         for expert in experts:
-            if expert in self._tasks:
-                continue
-            device = self.device_of(expert)
-            if device.free_bytes() < self._expert_bytes:
+            if not self.preload_fit([expert]):
                 raise CapacityError(
-                    f"preload of {expert} exceeds GPU {device.index} budget"
+                    f"preload of {expert} exceeds GPU "
+                    f"{self.device_of(expert).index} budget"
                 )
-            device.used_bytes += self._expert_bytes
-            device.resident.add(expert)
-            self._tasks[expert] = None
-            self._home[expert] = device.index
 
     def preload_fit(self, experts: Iterable[ExpertId]) -> list[ExpertId]:
         """Capacity-safe :meth:`preload`: skip experts whose GPU is full.
@@ -276,16 +266,14 @@ class ExpertPool:
         """
         placed: list[ExpertId] = []
         for expert in experts:
-            if expert in self._tasks:
-                placed.append(expert)
-                continue
-            device = self.device_of(expert)
-            if device.free_bytes() < self._expert_bytes:
-                continue
-            device.used_bytes += self._expert_bytes
-            device.resident.add(expert)
-            self._tasks[expert] = None
-            self._home[expert] = device.index
+            if expert not in self._tasks:
+                device = self.device_of(expert)
+                if device.free_bytes() < self._expert_bytes:
+                    continue
+                task = TransferTask(
+                    expert, 0.0, 0.0, self._expert_bytes, device.index
+                )
+                self._place(expert, device, task)
             placed.append(expert)
         return placed
 
@@ -312,10 +300,7 @@ class ExpertPool:
             # taken, so simply report the loss (the policy may try again).
             self.stats.prefetch_failed += 1
             return "failed"
-        device.used_bytes += self._expert_bytes
-        device.resident.add(expert)
-        self._tasks[expert] = task
-        self._home[expert] = device.index
+        self._place(expert, device, task)
         self.stats.prefetch_issued += 1
         for observer in self._observers:
             observer.note_transfer("prefetch", device.index, expert, task)
@@ -334,10 +319,8 @@ class ExpertPool:
         device = self.device_of(expert)
         if not self._make_space(device, now, urgent=True):
             return False
-        device.used_bytes += self._expert_bytes
-        device.resident.add(expert)
-        self._tasks[expert] = TransferTask(expert=expert, start=now, end=now)
-        self._home[expert] = device.index
+        task = TransferTask(expert, now, now, self._expert_bytes, device.index)
+        self._place(expert, device, task)
         return True
 
     def load_on_demand(self, expert: ExpertId, now: float) -> float:
@@ -351,12 +334,9 @@ class ExpertPool:
             # Everything evictable is still on the wire: wait for the
             # earliest unprotected transfer to land, then it is fair game.
             pending = [
-                t.end
-                for e, t in self._tasks.items()
-                if t is not None
-                and e in device.resident
-                and e not in self.protected
-                and t.end > now
+                self._tasks[e].end
+                for e in device.resident
+                if e not in self.protected and self._tasks[e].end > now
             ]
             if not pending:
                 raise CapacityError(
@@ -367,10 +347,7 @@ class ExpertPool:
         task = device.channel.load_urgent(
             now, self._expert_bytes, expert
         )
-        device.used_bytes += self._expert_bytes
-        device.resident.add(expert)
-        self._tasks[expert] = task
-        self._home[expert] = device.index
+        self._place(expert, device, task)
         self.stats.ondemand_loads += 1
         for observer in self._observers:
             observer.note_transfer("ondemand", device.index, expert, task)
@@ -380,11 +357,7 @@ class ExpertPool:
         """Drop an expert's weights and free its reservation."""
         if expert not in self._tasks:
             return
-        device = self._home_of(expert)
-        device.resident.discard(expert)
-        device.used_bytes -= self._expert_bytes
-        del self._tasks[expert]
-        self._home.pop(expert, None)
+        self._release(expert, self.devices[self._tasks[expert].device])
         self.stats.evictions += 1
         if self.engine is not None:
             self.engine._emit(EventKind.EVICTION, expert=expert)
@@ -420,10 +393,7 @@ class ExpertPool:
         device.channel.fail(now)
         lost = sorted(device.resident)
         for expert in lost:
-            del self._tasks[expert]
-            self._home.pop(expert, None)
-        device.resident.clear()
-        device.used_bytes = 0
+            self._release(expert, device)
         self.stats.devices_lost += 1
         if not self.alive_devices():
             raise DeviceLostError("every GPU has failed")
@@ -478,22 +448,19 @@ class ExpertPool:
         # exactly when there is something it would have to evict.
         width = self.model.experts_per_layer
         scores = None
-        best = None
+        victim = None
         best_score = float("-inf")
         for e in device.resident:
-            if e in protected:
-                continue
-            task = tasks[e]
-            if task is not None and task.end > now:
+            if e in protected or tasks[e].end > now:
                 continue
             if scores is None:
                 scores = self._oracle.eviction_score_matrix(now)
             score = scores[e.layer * width + e.expert]
             if score > best_score:
                 best_score = score
-                best = e
-        if best is not None:
-            self.evict(best)
+                victim = e
+        if victim is not None:
+            self.evict(victim)
             # Still checked: a byte ledger that leaks on eviction fails here.
             return device.free_bytes() >= needed
         if urgent:
@@ -502,8 +469,7 @@ class ExpertPool:
             queued = [
                 (e, t)
                 for e, t in self._tasks.items()
-                if t is not None
-                and t.start > now
+                if t.start > now
                 and e in device.resident
                 and e not in self.protected
             ]
@@ -511,10 +477,7 @@ class ExpertPool:
             for expert, task in queued:
                 if not device.channel.cancel(task, now):
                     continue
-                device.resident.discard(expert)
-                device.used_bytes -= self._expert_bytes
-                del self._tasks[expert]
-                self._home.pop(expert, None)
+                self._release(expert, device)
                 self.stats.prefetch_cancelled += 1
                 for observer in self._observers:
                     observer.drop_transfer(task)

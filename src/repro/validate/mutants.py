@@ -55,7 +55,8 @@ def _eviction_leak(engine: "ServingEngine") -> None:
     original = pool.evict
 
     def leaky_evict(expert):
-        device = pool._home_of(expert) if expert in pool._tasks else None
+        task = pool._tasks.get(expert)
+        device = None if task is None else pool.devices[task.device]
         original(expert)
         if device is not None:
             # Re-charge the bytes the real evict just freed: the ledger
@@ -69,9 +70,10 @@ def _phantom_ready(engine: "ServingEngine") -> None:
     """The cache vouches for experts it never loaded."""
     pool = engine.pool
     pool.is_ready = lambda expert, now: True
-    # Both probes lie: ``ready_flags`` decides hits at the gate and feeds
-    # the router's residency score, and ``is_ready`` is the engine's
-    # re-check before it serves each expert.
+    # Both probes lie.  ``ready_flags`` is the one that matters: it
+    # decides hits at the gate (the engine never re-probes a hit) and
+    # feeds the router's residency score.  ``is_ready`` feeds the
+    # nearest-resident substitution of degraded serving.
     pool.ready_flags = lambda experts, now: [True] * len(experts)
 
 

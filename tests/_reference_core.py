@@ -15,9 +15,10 @@ production paths that a reference engine reaches without a switch:
   with the scalar 1/(p·freq) formula over the scorer's probabilities and
   visit counts, where the production policy reads the scorer's
   incrementally kept matrix;
-- :func:`reference_engine` subscribes a no-op observer, which sends
-  every layer through ``_serve_layer``'s general per-expert loop instead
-  of its all-hit fast path.
+- :func:`reference_engine` subscribes a no-op observer.  The engine has
+  one serving loop either way; the subscriber keeps the branches taken
+  only when someone listens (events, spans, the substitute search of
+  degraded serving) under parity.
 
 Every answer is bitwise identical to the production core's by
 construction; ``tests/golden/parity_corpus.json`` holds the answers this
@@ -271,7 +272,7 @@ def reference_engine(world, system, policy=None, **kwargs):
     fMoE serves through :class:`ReferenceFMoEPolicy` (an explicit fMoE
     ``policy``, such as a shared-store replica's, is swapped for its
     twin); the baselines keep their own policies.  A no-op subscriber
-    keeps every layer on the general serving loop.
+    keeps the subscribed branches (events, spans) under parity.
     """
     if policy is None and system == "fmoe":
         policy = common.make_policy(system, world.config)

@@ -20,6 +20,19 @@ def subparsers() -> dict[str, argparse.ArgumentParser]:
     return action.choices
 
 
+@pytest.fixture
+def no_world(monkeypatch):
+    """Fail the test if any ``repro`` module builds a world."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a world was built for a usage error")
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("repro") and hasattr(module, "build_world"):
+            monkeypatch.setattr(module, "build_world", refuse)
+
+
 def all_subcommands() -> list[str]:
     """Every registered subcommand."""
     return sorted(subparsers())
@@ -128,24 +141,33 @@ class TestParser:
         ids=lambda option: option[0],
     )
     def test_compare_rejects_single_cluster_options(
-        self, option, monkeypatch, capsys
+        self, option, no_world, capsys
     ):
         """``cluster --compare`` serves its own grid: an option that shapes
         the one served cluster is a usage error, before any world."""
-
-        def no_world(*args, **kwargs):
-            raise AssertionError("a world was built for a usage error")
-
-        for module in list(sys.modules.values()):
-            name = getattr(module, "__name__", "")
-            if name.startswith("repro") and hasattr(module, "build_world"):
-                monkeypatch.setattr(module, "build_world", no_world)
         with pytest.raises(SystemExit) as excinfo:
             main(["cluster", "--compare", *option])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "usage: repro cluster" in err
         assert "--compare" in err and f"does not take {option[0]}" in err
+
+    @pytest.mark.parametrize(
+        "option", [["--prefetch-distance", "0"], ["--store-capacity", "0"]]
+    )
+    def test_malformed_world_config_is_a_usage_error(
+        self, option, no_world, capsys
+    ):
+        """A config the world would refuse is a usage error: exit 2, the
+        message on stderr, nothing built or printed."""
+        argv = ["compare", *option, "--systems", "deepspeed-inference"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: repro compare" in captured.err
+        assert "must be >= 1" in captured.err
 
     @pytest.mark.parametrize(
         "argv,dest,expected",

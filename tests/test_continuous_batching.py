@@ -6,6 +6,7 @@ from repro.core.policy import FMoEPolicy
 from repro.errors import ConfigError
 from repro.moe.model import MoEModel
 from repro.serving.engine import ServingEngine
+from repro.serving.faults import SLOConfig
 from repro.serving.request import Request
 
 
@@ -63,6 +64,23 @@ class TestAdmission:
         assert late.e2e_latency == pytest.approx(
             late.finish_time - 50.0
         )
+
+    def test_idles_past_a_fully_shed_admission(
+        self, tiny_config, small_hardware
+    ):
+        """When every request due at a boundary is shed, the engine idles
+        to the next arrival instead of running an empty iteration."""
+        engine, _ = make_engine(tiny_config, small_hardware)
+        engine.slo = SLOConfig(queue_delay_budget_seconds=1e-3)
+        requests = [
+            Request(0, 0, 16, 8, arrival_time=0.0),
+            Request(1, 0, 4, 2, arrival_time=1e-4),
+            Request(2, 0, 4, 2, arrival_time=1e6),
+        ]
+        report = engine.run_continuous(requests, max_batch_size=1)
+        assert report.shed_request_ids == [1]
+        assert [m.request_id for m in report.requests] == [0, 2]
+        assert report.requests[1].start_time == 1e6
 
     def test_validation(self, tiny_config, small_hardware):
         engine, _ = make_engine(tiny_config, small_hardware)

@@ -54,6 +54,19 @@ class TestExperimentConfig:
         assert changed.batch_size == 4
         assert base.batch_size == 1
 
+    @pytest.mark.parametrize(
+        "field", ["prefetch_distance", "store_capacity", "batch_size"]
+    )
+    def test_counts_below_one_are_config_errors(self, field):
+        """Construction and ``with_`` both refuse a count below 1, so a
+        malformed config never reaches a world."""
+        assert getattr(ExperimentConfig(**{field: 1}), field) == 1
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=field):
+                ExperimentConfig(**{field: value})
+            with pytest.raises(ConfigError, match=field):
+                ExperimentConfig().with_(**{field: value})
+
 
 class TestBuildWorld:
     def test_split_sizes(self, small_world):

@@ -1,10 +1,11 @@
 """Property-based tests for the serving substrate (channels, pool, ILP)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ilp import belady_min_misses, evaluate_cache_schedule
+from repro.errors import CapacityError
 from repro.moe.config import tiny_test_model
 from repro.serving.hardware import HardwareConfig
 from repro.serving.memory import TransferChannel
@@ -102,6 +103,108 @@ class TestPoolProperties:
                     device.used_bytes
                     == len(device.resident) * config.expert_bytes
                 )
+
+
+class TestResidencyRecord:
+    """The pool keeps one record per tracked expert: its task, which
+    names the device that holds it.  Every mutation keeps that record,
+    the devices' resident sets and their byte ledgers in agreement."""
+
+    EXPERTS = [E(layer, j) for layer in range(4) for j in range(4)]
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "preload",
+                        "preload_fit",
+                        "prefetch",
+                        "insert_blocking",
+                        "load_on_demand",
+                        "evict",
+                        "fail_device",
+                        "failover",
+                    ]
+                ),
+                st.integers(0, 15),  # flat expert id
+                st.floats(0, 5),  # time delta
+                st.integers(0, 3),  # device to fail
+            ),
+            max_size=40,
+        )
+    )
+    # A re-homed expert whose placement moves again: expert 8's primary
+    # GPU 0 fails, so it lands on GPU 3; once GPU 1 fails too, the
+    # placement function would name GPU 2.  Only the record knows better.
+    @example(
+        ops=[
+            ("fail_device", 0, 0.0, 0),
+            ("prefetch", 8, 0.0, 0),
+            ("fail_device", 0, 0.0, 1),
+            ("evict", 8, 0.0, 0),
+        ]
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_record_per_expert(self, ops):
+        config = tiny_test_model(num_layers=4, experts_per_layer=4)
+        hardware = HardwareConfig(
+            num_gpus=4, pcie_bandwidth_bps=1e6,
+            framework_layer_overhead_seconds=0.0,
+        )
+        pool = ExpertPool(
+            config, hardware, cache_budget_bytes=8 * config.expert_bytes
+        )
+
+        class AnyOracle:
+            def eviction_score_matrix(self, now):
+                return np.arange(16, dtype=np.float64)
+
+        pool.set_eviction_oracle(AnyOracle())
+        now = 0.0
+        lost: list[ExpertId] = []
+        for kind, flat, dt, index in ops:
+            now += dt
+            expert = self.EXPERTS[flat]
+            pair = [expert, self.EXPERTS[(flat + 5) % 16]]
+            if kind == "preload":
+                try:
+                    pool.preload(pair)
+                except CapacityError:
+                    pass
+            elif kind == "preload_fit":
+                placed = pool.preload_fit(pair)
+                assert all(pool.is_tracked(e) for e in placed)
+            elif kind == "prefetch":
+                pool.prefetch(expert, now)
+            elif kind == "insert_blocking":
+                pool.insert_blocking(expert, now)
+            elif kind == "load_on_demand":
+                now = max(now, pool.load_on_demand(expert, now))
+            elif kind == "evict":
+                pool.evict(expert)
+            elif kind == "fail_device":
+                # Never the last survivor: a pool with no GPU is gone.
+                if len(pool.alive_devices()) > 1:
+                    lost = pool.fail_device(index, now)
+            else:
+                pool.failover(lost, now)
+            self._check(pool, config.expert_bytes, now)
+
+    def _check(self, pool, expert_bytes, now):
+        union: set[ExpertId] = set()
+        for device in pool.devices:
+            assert device.used_bytes == len(device.resident) * expert_bytes
+            assert not union & device.resident
+            union |= device.resident
+            if device.failed:
+                assert not device.resident
+        for expert, task in pool._tasks.items():
+            assert expert in pool.devices[task.device].resident
+        assert pool.resident_experts() == union
+        assert pool.ready_flags(self.EXPERTS, now) == [
+            pool.is_ready(e, now) for e in self.EXPERTS
+        ]
 
 
 class TestBeladyProperties:
