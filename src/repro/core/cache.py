@@ -10,13 +10,17 @@ first.  As the paper argues, recency (LRU) is deliberately ignored: expert
 use is layer-sequential, so the most recently used expert is the one
 *least* likely to be needed next.
 
-The scorer keeps its state in dense ``(L, J)`` arrays so the pool's
-victim scan reads every candidate's score from one flat matrix
+The scorer keeps its per-expert state (visit counts, predictions) in flat
+Python lists indexed by ``layer * J + j``, because each update touches one
+cell or one row and a list cell costs a fraction of a numpy scalar access.
+The float64 ``(L·J,)`` score vector the pool's victim scan reads
 (:meth:`FMoECacheScorer.score_matrix`, surfaced to the pool as the
-policy's ``eviction_score_matrix``).  The score matrix is maintained
-incrementally — ``touch`` updates one cell, prediction merges refresh one
-row, and only the per-iteration reset triggers a lazy full rebuild — so
-keeping it current costs O(J) per mutation instead of O(L·J) per query.
+policy's ``eviction_score_matrix``) is always current: ``touch`` writes
+one cell, a prediction merge or a finished layer rewrites one row, and
+the per-iteration reset rewrites only the rows that still hold
+predictions.  Every write computes ``1 / (max(p, floor) · max(freq, 1))``
+with the same IEEE operations numpy's whole-matrix form performs, so the
+vector is bitwise identical to a from-scratch rebuild.
 """
 
 from __future__ import annotations
@@ -39,21 +43,30 @@ class FMoECacheScorer:
             raise ConfigError("num_layers and num_experts must be >= 1")
         self.num_layers = num_layers
         self.num_experts = num_experts
-        self._freq = np.zeros((num_layers, num_experts), dtype=np.int64)
-        self._predicted = np.zeros((num_layers, num_experts))
-        self._scores: np.ndarray | None = None
+        size = num_layers * num_experts
+        self._freq = [0] * size
+        self._predicted = [0.0] * size
+        # Every expert starts at both floors: p = MIN_PROBABILITY, freq = 1.
+        self._scores = np.full(size, 1.0 / (self.MIN_PROBABILITY * 1))
+        self._predicted_layers: set[int] = set()
+        """Layers whose prediction row may be non-zero."""
 
-    def _refresh_score_row(self, layer: int) -> None:
-        if self._scores is not None:
-            self._scores[layer] = 1.0 / (
-                np.maximum(self._predicted[layer], self.MIN_PROBABILITY)
-                * np.maximum(self._freq[layer], 1)
-            )
+    def _write_row(self, layer: int, predicted: list[float]) -> None:
+        """Store ``layer``'s prediction row and rewrite its scores."""
+        start = layer * self.num_experts
+        stop = start + self.num_experts
+        floor = self.MIN_PROBABILITY
+        self._predicted[start:stop] = predicted
+        self._scores[start:stop] = [
+            1.0 / ((p if p > floor else floor) * (f if f > 1 else 1))
+            for p, f in zip(predicted, self._freq[start:stop])
+        ]
 
     def reset_predictions(self) -> None:
         """Clear per-iteration predictions (called at iteration start)."""
-        self._predicted.fill(0.0)
-        self._scores = None
+        layers, self._predicted_layers = self._predicted_layers, set()
+        for layer in layers:
+            self._write_row(layer, [0.0] * self.num_experts)
 
     def mark_layer_done(self, layer: int) -> None:
         """Drop predictions for a layer the forward pass has moved past.
@@ -64,8 +77,8 @@ class FMoECacheScorer:
         """
         if not 0 <= layer < self.num_layers:
             raise ConfigError(f"layer {layer} out of range")
-        self._predicted[layer].fill(0.0)
-        self._refresh_score_row(layer)
+        self._predicted_layers.discard(layer)
+        self._write_row(layer, [0.0] * self.num_experts)
 
     def update_prediction_row(self, layer: int, row: np.ndarray) -> None:
         """Merge a matched map row for ``layer`` (element-wise maximum).
@@ -75,40 +88,41 @@ class FMoECacheScorer:
         """
         if not 0 <= layer < self.num_layers:
             raise ConfigError(f"layer {layer} out of range")
-        np.maximum(self._predicted[layer], row, out=self._predicted[layer])
-        self._refresh_score_row(layer)
+        start = layer * self.num_experts
+        current = self._predicted[start : start + self.num_experts]
+        self._predicted_layers.add(layer)
+        self._write_row(
+            layer,
+            [p if p >= r else r for p, r in zip(current, row.tolist())],
+        )
 
     def predicted_probability(self, expert: ExpertId) -> float:
         """Latest matched-map probability for ``expert`` (0 if none)."""
-        return float(self._predicted[expert.layer, expert.expert])
+        return self._predicted[expert.layer * self.num_experts + expert.expert]
 
     def touch(self, expert: ExpertId) -> None:
         """Record one cache visit (hit or post-load use)."""
-        layer, index = expert.layer, expert.expert
-        freq = self._freq[layer, index] + 1
-        self._freq[layer, index] = freq
-        if self._scores is not None:
-            p = self._predicted[layer, index]
-            if p < self.MIN_PROBABILITY:
-                p = self.MIN_PROBABILITY
-            self._scores[layer, index] = 1.0 / (p * freq)
+        flat = expert.layer * self.num_experts + expert.expert
+        freq = self._freq[flat] + 1
+        self._freq[flat] = freq
+        p = self._predicted[flat]
+        if p < self.MIN_PROBABILITY:
+            p = self.MIN_PROBABILITY
+        self._scores[flat] = 1.0 / (p * freq)
 
     def frequency(self, expert: ExpertId) -> int:
         """Recorded cache visits of ``expert``."""
-        return int(self._freq[expert.layer, expert.expert])
+        return self._freq[expert.layer * self.num_experts + expert.expert]
 
     def score_matrix(self) -> np.ndarray:
-        """The dense flat ``(L·J,)`` eviction-score matrix, kept current.
+        """The dense flat ``(L·J,)`` float64 eviction-score vector, kept
+        current.
 
         Entry ``layer * num_experts + expert`` is PRI_evict = 1 / (p ·
         freq) with p clamped below at :attr:`MIN_PROBABILITY` and freq at
         1 (int→float promotion, one divide); larger → evicted earlier.
-        The incremental row and cell updates compute the same expression,
-        so the matrix is bitwise identical however it was built.
+        The row and cell writes compute the same expression, so the
+        vector is bitwise identical however it was built.  The vector is
+        the scorer's own: callers read it and must not write it.
         """
-        if self._scores is None:
-            self._scores = 1.0 / (
-                np.maximum(self._predicted, self.MIN_PROBABILITY)
-                * np.maximum(self._freq, 1)
-            )
-        return self._scores.reshape(-1)
+        return self._scores

@@ -83,10 +83,10 @@ def select_prefetch_counts(
     cap = num_experts if max_count is None else min(max_count, num_experts)
     cap = max(cap, min_needed)
     order = np.argsort(rows, axis=1)[:, ::-1]
-    cumulative = np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1)
+    lanes = np.arange(rows.shape[0])[:, None]
+    cumulative = np.cumsum(rows[lanes, order], axis=1)
     counts = (cumulative < thresholds[:, None]).sum(axis=1) + 1
-    np.clip(counts, min_needed, cap, out=counts)
-    return order, counts
+    return order, np.minimum(np.maximum(counts, min_needed), cap)
 
 
 def prefetch_priority(

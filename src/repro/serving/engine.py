@@ -84,8 +84,6 @@ class IterationContext:
         requests: Sequence[Request],
         sessions: Sequence[RequestSession],
         routings: Sequence[IterationRouting],
-        num_layers: int,
-        num_experts: int,
     ) -> None:
         self.stage = stage
         self.iteration_index = iteration_index
@@ -95,14 +93,19 @@ class IterationContext:
         self.batch_size = len(requests)
         self.embeddings = np.stack([s.embedding for s in sessions])
         self.num_tokens = [r.num_tokens for r in routings]
-        self.observed = np.zeros((self.batch_size, num_layers, num_experts))
         self.observed_layers = 0
 
     def reveal_layer(self, layer: int) -> None:
-        """Engine-only: copy layer ``layer`` gate outputs into view."""
-        for b, routing in enumerate(self._routings):
-            self.observed[b, layer] = routing.distributions[layer]
+        """Engine-only: bring layer ``layer``'s gate outputs into view."""
         self.observed_layers = layer + 1
+
+    @property
+    def observed(self) -> np.ndarray:
+        """The revealed gate rows: ``(B, L, J)`` float64, a fresh array
+        per read.  Layers not yet revealed read as zero."""
+        observed = self.iteration_rows()
+        observed[:, self.observed_layers :] = 0.0
+        return observed
 
     def iteration_rows(self) -> np.ndarray:
         """Every layer's gate rows of this iteration: ``(B, L, J)`` float64.
@@ -653,8 +656,6 @@ class ServingEngine:
             requests=[entry.request for entry in active],
             sessions=[entry.session for entry in active],
             routings=routings,
-            num_layers=self.config.num_layers,
-            num_experts=self.config.experts_per_layer,
         )
         breakdown = report.breakdown
 
@@ -704,14 +705,16 @@ class ServingEngine:
 
     def _layer_union(self, ctx: IterationContext, layer: int) -> list[ExpertId]:
         activated = ctx.activated_at(layer)
+        ids = self.pool.expert_ids
+        base = layer * self.config.experts_per_layer
         if len(activated) == 1:
             # Routing arrays are already sorted and unique per request, so
             # a single-request union needs no set round-trip.
-            return [ExpertId(layer, int(j)) for j in activated[0]]
+            return [ids[base + j] for j in activated[0].tolist()]
         union: set[int] = set()
         for row in activated:
-            union.update(int(j) for j in row)
-        return [ExpertId(layer, j) for j in sorted(union)]
+            union.update(row.tolist())
+        return [ids[base + j] for j in sorted(union)]
 
     def _snapshot_hits(
         self, ctx: IterationContext, layer: int
@@ -852,13 +855,15 @@ class ServingEngine:
     ) -> None:
         if action is None:
             return
-        for name, seconds in action.sync_overheads.items():
-            breakdown.add_sync(name, seconds)
-            self._now += seconds
+        if action.sync_overheads:
+            for name, seconds in action.sync_overheads.items():
+                breakdown.add_sync(name, seconds)
+                self._now += seconds
         issue_time = self._now
-        for name, seconds in action.async_overheads.items():
-            breakdown.add_async(name, seconds)
-            issue_time += seconds
+        if action.async_overheads:
+            for name, seconds in action.async_overheads.items():
+                breakdown.add_async(name, seconds)
+                issue_time += seconds
         if self.prefetch_enabled and action.prefetch_block is not None:
             self._issue_prefetch_block(action, breakdown, issue_time)
 
@@ -879,8 +884,8 @@ class ServingEngine:
         if len(ids) == 0:
             return
         order = np.argsort(-priorities, kind="stable")
-        width = self.config.experts_per_layer
         pool = self.pool
+        experts = pool.expert_ids
         tasks = pool._tasks
         load_seconds = self.hardware.expert_load_seconds(self.config)
         latest_arrival = self._now
@@ -888,17 +893,15 @@ class ServingEngine:
         # Read-modify-write outside the loop; .get keeps the key absent
         # when nothing schedules, exactly like the legacy add_async calls.
         transfer = breakdown.asynchronous.get("prefetch_transfer", 0.0)
-        for pos in order:
-            flat = int(ids[pos])
-            key = divmod(flat, width)
-            if key in tasks:
+        for flat in ids[order].tolist():
+            expert = experts[flat]
+            if expert in tasks:
                 continue
-            expert = ExpertId(*key)
             if pool.prefetch(expert, issue_time) == "scheduled":
                 scheduled += 1
                 transfer += load_seconds
-                arrival = pool.arrival_time(expert)
-                if arrival is not None and arrival > latest_arrival:
+                arrival = tasks[expert].end
+                if arrival > latest_arrival:
                     latest_arrival = arrival
         if scheduled:
             breakdown.asynchronous["prefetch_transfer"] = transfer

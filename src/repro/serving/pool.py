@@ -137,6 +137,18 @@ class ExpertPool:
         # A placement without a copy (preload, blocking insert) is a
         # zero-length task.
         self._tasks: dict[ExpertId, TransferTask] = {}
+        self.expert_ids: tuple[ExpertId, ...] = tuple(
+            ExpertId(layer, j)
+            for layer in range(model.num_layers)
+            for j in range(model.experts_per_layer)
+        )
+        """Every offloadable expert, interned and indexed by flat id
+        ``layer * J + j``; the engine hands the pool these objects."""
+        self._homes = [
+            self.devices[self._primary_index(expert)]
+            for expert in self.expert_ids
+        ]
+        """Placement-strategy device per flat id (see :meth:`device_of`)."""
         self._oracle: EvictionOracle = _EvictNothing()
         self.protected: set[ExpertId] = set()
         self.stats = PoolStats()
@@ -181,13 +193,13 @@ class ExpertPool:
         deterministically among the survivors (round-robin over the alive
         list), so placement stays a pure function of the failure history.
         """
-        primary = self.devices[self._primary_index(expert)]
+        flat = expert.layer * self.model.experts_per_layer + expert.expert
+        primary = self._homes[flat]
         if not primary.failed:
             return primary
         alive = [d for d in self.devices if not d.failed]
         if not alive:
             raise DeviceLostError("every GPU has failed")
-        flat = expert.layer * self.model.experts_per_layer + expert.expert
         return alive[flat % len(alive)]
 
     def is_tracked(self, expert: ExpertId) -> bool:

@@ -6,15 +6,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis.entropy import shannon_entropy
+from repro.core.cache import FMoECacheScorer
 from repro.core.expert_map import ExpertMap
 from repro.core.prefetch import (
     prefetch_priority,
+    select_prefetch_counts,
     select_prefetch_experts,
     selection_threshold,
 )
 from repro.core.store import ExpertMapStore
 from repro.moe.embeddings import cosine_similarity_matrix
 from repro.moe.gating import softmax_rows, top_k_indices
+from repro.types import ExpertId
 
 from tests._strategies import distributions
 
@@ -77,6 +80,125 @@ class TestPrefetchProperties:
         assert priority >= 0
         if layer + 1 > current:
             assert prefetch_priority(p, layer + 1, current) <= priority or p == 0
+
+
+#: Probabilities with many exact ties (and exact zeros) mixed with
+#: arbitrary ones, so sorted orders and cumulative sums hit equal values.
+_TIED_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.floats(0, 1)
+)
+
+
+@st.composite
+def _selection_lanes(draw):
+    """``(rows (N, J), thresholds (N,), top_k, max_count)``."""
+    lanes = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 9))
+    rows = draw(
+        hnp.arrays(np.float64, (lanes, width), elements=_TIED_PROBABILITIES)
+    )
+    thresholds = draw(
+        hnp.arrays(
+            np.float64,
+            (lanes,),
+            elements=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+        )
+    )
+    top_k = draw(st.integers(1, width))
+    max_count = draw(st.one_of(st.none(), st.integers(0, width + 2)))
+    return rows, thresholds, top_k, max_count
+
+
+class TestBatchedSelectionProperties:
+    @given(lanes=_selection_lanes())
+    @example(lanes=(np.full((3, 8), 0.125), np.array([0.0, 0.5, 1.0]), 2, 4))
+    @example(lanes=(np.zeros((2, 8)), np.array([0.0, 1.0]), 1, None))
+    @example(
+        lanes=(
+            np.array([[0.5, 0.25, 0.25, 0.0], [0.25, 0.25, 0.25, 0.25]]),
+            np.array([1.0, 0.75]),
+            1,
+            1,
+        )
+    )
+    @settings(max_examples=200)
+    def test_each_lane_matches_the_scalar_selection(self, lanes):
+        rows, thresholds, top_k, max_count = lanes
+        order, counts = select_prefetch_counts(
+            rows, thresholds, top_k, max_count=max_count
+        )
+        assert counts.shape == (rows.shape[0],)
+        for i, row in enumerate(rows):
+            want = select_prefetch_experts(
+                row, float(thresholds[i]), top_k, max_count=max_count
+            )
+            assert np.array_equal(order[i, : counts[i]], want), i
+
+
+@st.composite
+def _scorer_steps(draw):
+    """A scorer shape and a random sequence of its mutations."""
+    layers = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 5))
+    # Float32 map rows with exact zeros and values below the floor.
+    row = hnp.arrays(
+        np.float32,
+        (width,),
+        elements=st.one_of(
+            st.just(0.0),
+            st.floats(0, float(np.float32(2e-3)), width=32),
+            st.floats(0, 1, width=32),
+        ),
+    )
+    layer = st.integers(0, layers - 1)
+    step = st.one_of(
+        st.tuples(st.just("reset")),
+        st.tuples(st.just("done"), layer),
+        st.tuples(st.just("update"), layer, row),
+        st.tuples(st.just("touch"), layer, st.integers(0, width - 1)),
+    )
+    return layers, width, draw(st.lists(step, max_size=40))
+
+
+class TestScorerProperties:
+    @given(case=_scorer_steps())
+    @settings(max_examples=150, deadline=None)
+    def test_vector_is_a_bitwise_rebuild_after_every_step(self, case):
+        layers, width, steps = case
+        scorer = FMoECacheScorer(layers, width)
+        floor = FMoECacheScorer.MIN_PROBABILITY
+        predicted = np.zeros((layers, width))
+        freq = np.zeros((layers, width), dtype=np.int64)
+        for step in [("reset",), *steps]:
+            kind = step[0]
+            if kind == "reset":
+                scorer.reset_predictions()
+                predicted.fill(0.0)
+            elif kind == "done":
+                scorer.mark_layer_done(step[1])
+                predicted[step[1]] = 0.0
+            elif kind == "update":
+                scorer.update_prediction_row(step[1], step[2])
+                np.maximum(predicted[step[1]], step[2], out=predicted[step[1]])
+            else:
+                scorer.touch(ExpertId(step[1], step[2]))
+                freq[step[1], step[2]] += 1
+            expected = 1.0 / (
+                np.maximum(predicted, floor) * np.maximum(freq, 1)
+            )
+            got = scorer.score_matrix()
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == (layers * width,)
+            assert got.tobytes() == expected.tobytes(), step
+            for layer in range(layers):
+                for j in range(width):
+                    expert = ExpertId(layer, j)
+                    p = scorer.predicted_probability(expert)
+                    assert p == predicted[layer, j]
+                    assert scorer.frequency(expert) == freq[layer, j]
+                    assert got[layer * width + j] == 1.0 / (
+                        max(p, floor) * max(scorer.frequency(expert), 1)
+                    )
 
 
 class TestStoreProperties:

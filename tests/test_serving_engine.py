@@ -230,21 +230,38 @@ class TestBatching:
 
 class TestIterationContext:
     def test_progressive_reveal_enforced(self, tiny_model):
-        session = tiny_model.start_session(0, 4, 2, seed=0)
-        routing = session.next_iteration()
+        sessions = [
+            tiny_model.start_session(c, 4, 2, seed=c) for c in (0, 1)
+        ]
+        routings = [session.next_iteration() for session in sessions]
         ctx = IterationContext(
-            stage=routing.stage,
+            stage=routings[0].stage,
             iteration_index=0,
-            requests=[Request(0, 0, 4, 2)],
-            sessions=[session],
-            routings=[routing],
-            num_layers=tiny_model.config.num_layers,
-            num_experts=tiny_model.config.experts_per_layer,
+            requests=[Request(0, 0, 4, 2), Request(1, 1, 4, 2)],
+            sessions=sessions,
+            routings=routings,
         )
+        config = tiny_model.config
+        shape = (2, config.num_layers, config.experts_per_layer)
+        assert ctx.observed.shape == shape
+        assert not ctx.observed.any()
         with pytest.raises(ConfigError, match="not yet revealed"):
             ctx.activated_at(0)
-        ctx.reveal_layer(0)
-        assert len(ctx.activated_at(0)) == 1
-        assert np.allclose(ctx.observed[0, 0], routing.distributions[0])
+        for layer in range(config.num_layers):
+            ctx.reveal_layer(layer)
+            observed = ctx.observed
+            assert observed.shape == shape and observed.dtype == np.float64
+            # Nothing past the revealed prefix is visible...
+            assert not observed[:, layer + 1 :].any()
+            # ...and the prefix is exactly the routing's rows.
+            for b, routing in enumerate(routings):
+                assert np.array_equal(
+                    observed[b, : layer + 1],
+                    routing.distributions[: layer + 1],
+                )
+            assert len(ctx.activated_at(layer)) == 2
+            if layer + 1 < config.num_layers:
+                with pytest.raises(ConfigError, match="not yet revealed"):
+                    ctx.activated_at(layer + 1)
         # Oracle access bypasses the reveal guard.
-        assert len(ctx.oracle_activated_at(3)) == 1
+        assert len(ctx.oracle_activated_at(3)) == 2
