@@ -10,17 +10,18 @@ first.  As the paper argues, recency (LRU) is deliberately ignored: expert
 use is layer-sequential, so the most recently used expert is the one
 *least* likely to be needed next.
 
-The scorer keeps its per-expert state (visit counts, predictions) in flat
-Python lists indexed by ``layer * J + j``, because each update touches one
-cell or one row and a list cell costs a fraction of a numpy scalar access.
-The float64 ``(L·J,)`` score vector the pool's victim scan reads
-(:meth:`FMoECacheScorer.score_matrix`, surfaced to the pool as the
-policy's ``eviction_score_matrix``) is always current: ``touch`` writes
-one cell, a prediction merge or a finished layer rewrites one row, and
-the per-iteration reset rewrites only the rows that still hold
-predictions.  Every write computes ``1 / (max(p, floor) · max(freq, 1))``
-with the same IEEE operations numpy's whole-matrix form performs, so the
-vector is bitwise identical to a from-scratch rebuild.
+The scorer keeps visit counts in a flat Python list indexed by
+``layer * J + j``, because ``touch`` updates one cell per served expert
+and a list cell costs a fraction of a numpy scalar access.  Predictions,
+clamped visit counts and scores are flat float64 ``(L·J,)`` vectors, so a
+prediction merge or a finished layer rewrites its row in place with three
+numpy calls whatever the layer's width.  The score vector the pool's
+victim scan reads (:meth:`FMoECacheScorer.score_matrix`, surfaced to the
+pool as the policy's ``eviction_score_matrix``) is always current:
+``touch`` writes one cell, a row update rewrites one row and the
+per-iteration reset rewrites the whole vector.  Every write computes
+``1 / (max(p, floor) · max(freq, 1))`` with the same IEEE operations, so
+the vector is bitwise identical to a from-scratch rebuild.
 """
 
 from __future__ import annotations
@@ -45,28 +46,30 @@ class FMoECacheScorer:
         self.num_experts = num_experts
         size = num_layers * num_experts
         self._freq = [0] * size
-        self._predicted = [0.0] * size
-        # Every expert starts at both floors: p = MIN_PROBABILITY, freq = 1.
-        self._scores = np.full(size, 1.0 / (self.MIN_PROBABILITY * 1))
-        self._predicted_layers: set[int] = set()
-        """Layers whose prediction row may be non-zero."""
+        self._visits = np.ones(size)
+        """``max(freq, 1)`` as float64, for the row rewrites."""
+        self._predicted = np.zeros(size)
+        self._scores = np.empty(size)
+        self._rescore(0, size)
 
-    def _write_row(self, layer: int, predicted: list[float]) -> None:
-        """Store ``layer``'s prediction row and rewrite its scores."""
+    def _rescore(self, start: int, stop: int) -> None:
+        """Recompute ``_scores[start:stop]`` in place."""
+        scores = self._scores[start:stop]
+        np.maximum(self._predicted[start:stop], self.MIN_PROBABILITY, out=scores)
+        np.multiply(scores, self._visits[start:stop], out=scores)
+        np.divide(1.0, scores, out=scores)
+
+    def _row(self, layer: int) -> tuple[int, int]:
+        """The flat ``[start, stop)`` bounds of ``layer``'s row."""
+        if not 0 <= layer < self.num_layers:
+            raise ConfigError(f"layer {layer} out of range")
         start = layer * self.num_experts
-        stop = start + self.num_experts
-        floor = self.MIN_PROBABILITY
-        self._predicted[start:stop] = predicted
-        self._scores[start:stop] = [
-            1.0 / ((p if p > floor else floor) * (f if f > 1 else 1))
-            for p, f in zip(predicted, self._freq[start:stop])
-        ]
+        return start, start + self.num_experts
 
     def reset_predictions(self) -> None:
         """Clear per-iteration predictions (called at iteration start)."""
-        layers, self._predicted_layers = self._predicted_layers, set()
-        for layer in layers:
-            self._write_row(layer, [0.0] * self.num_experts)
+        self._predicted.fill(0.0)
+        self._rescore(0, self._predicted.size)
 
     def mark_layer_done(self, layer: int) -> None:
         """Drop predictions for a layer the forward pass has moved past.
@@ -75,10 +78,9 @@ class FMoECacheScorer:
         one needed furthest in the future, so clearing its prediction makes
         it the preferred eviction victim for upcoming prefetches.
         """
-        if not 0 <= layer < self.num_layers:
-            raise ConfigError(f"layer {layer} out of range")
-        self._predicted_layers.discard(layer)
-        self._write_row(layer, [0.0] * self.num_experts)
+        start, stop = self._row(layer)
+        self._predicted[start:stop] = 0.0
+        self._rescore(start, stop)
 
     def update_prediction_row(self, layer: int, row: np.ndarray) -> None:
         """Merge a matched map row for ``layer`` (element-wise maximum).
@@ -86,26 +88,23 @@ class FMoECacheScorer:
         With batched requests several maps guide the same iteration; the
         maximum keeps any expert predicted by any request protected.
         """
-        if not 0 <= layer < self.num_layers:
-            raise ConfigError(f"layer {layer} out of range")
-        start = layer * self.num_experts
-        current = self._predicted[start : start + self.num_experts]
-        self._predicted_layers.add(layer)
-        self._write_row(
-            layer,
-            [p if p >= r else r for p, r in zip(current, row.tolist())],
-        )
+        start, stop = self._row(layer)
+        predicted = self._predicted[start:stop]
+        np.maximum(predicted, row, out=predicted)
+        self._rescore(start, stop)
 
     def predicted_probability(self, expert: ExpertId) -> float:
         """Latest matched-map probability for ``expert`` (0 if none)."""
-        return self._predicted[expert.layer * self.num_experts + expert.expert]
+        flat = expert.layer * self.num_experts + expert.expert
+        return self._predicted.item(flat)
 
     def touch(self, expert: ExpertId) -> None:
         """Record one cache visit (hit or post-load use)."""
         flat = expert.layer * self.num_experts + expert.expert
         freq = self._freq[flat] + 1
         self._freq[flat] = freq
-        p = self._predicted[flat]
+        self._visits[flat] = freq
+        p = self._predicted.item(flat)
         if p < self.MIN_PROBABILITY:
             p = self.MIN_PROBABILITY
         self._scores[flat] = 1.0 / (p * freq)

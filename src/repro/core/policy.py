@@ -216,19 +216,19 @@ class FMoEPolicy(BasePolicy):
         priorities = rows[lanes, selected] / gaps[lanes]
         return flat.astype(np.int64), priorities, counts
 
-    def _trajectory_lanes(self, rows: np.ndarray):
-        """The plan's Eq. 5 search over one iteration's ``(B, L, J)`` gate
-        rows, or None when nothing is planned (an empty store, or
-        ``d >= L``).
+    def trajectory_plan(self, rows: np.ndarray) -> TrajectoryPlan | None:
+        """Plan one iteration's trajectory-guided prefetches.
 
-        Layers ``0..L−d−1`` fold in one
-        :meth:`IncrementalTrajectoryMatch.observe_layers` call, so entry
-        ``l`` is the match over prefix ``0..l`` — the search a per-layer
-        hook would run at layer ``l``; layers whose target ``l + d`` lies
-        past the last layer are not searched.  Returns the matched target
-        rows ``(L−d, B, J)``, the scores ``(L−d, B)`` (both float32) and
-        the selection lanes (rows, scores, targets, gaps), layer-major,
-        then batch position.
+        ``rows`` is the iteration's ``(B, L, J)`` gate output
+        (:meth:`IterationContext.iteration_rows`).  Layers ``0..L−d−1``
+        fold in one :meth:`IncrementalTrajectoryMatch.observe_layers`
+        call, so entry ``l`` is the Eq. 5 match over prefix ``0..l`` — the
+        search a per-layer hook would run at layer ``l``; layers whose
+        target ``l + d`` lies past the last layer are not searched.  The
+        matched target rows of all ``(L−d)·B`` lanes (layer-major, then
+        batch position) go through one selection pass, then split into
+        per-layer actions.  None when nothing is planned (an empty store,
+        or ``d >= L``).
         """
         assert self.store is not None and self.matcher is not None
         num_layers = self.config.num_layers
@@ -243,24 +243,12 @@ class FMoEPolicy(BasePolicy):
         scores = result.scores
         targets = np.arange(distance, num_layers)
         matched = self.store.gather_rows(result.indices, targets[:, None])
-        lanes = (
+        ids, priorities, counts = self._prefetch_block_for_lanes(
             matched.reshape(planned * batch, -1),
             scores.reshape(-1),
             np.repeat(targets, batch),
             np.full(planned * batch, distance, dtype=np.int64),
         )
-        return matched, scores, lanes
-
-    def _build_plan(
-        self,
-        matched: np.ndarray,
-        scores: np.ndarray,
-        ids: np.ndarray,
-        priorities: np.ndarray,
-        counts: np.ndarray,
-    ) -> TrajectoryPlan:
-        """Split the trajectory lanes' selection into per-layer actions."""
-        planned, batch = scores.shape
         ends = np.cumsum(counts.reshape(planned, batch).sum(axis=1)).tolist()
         seconds = self.matcher.match_seconds()
         return TrajectoryPlan(
@@ -276,30 +264,29 @@ class FMoEPolicy(BasePolicy):
             ],
         )
 
-    def trajectory_plan(self, rows: np.ndarray) -> TrajectoryPlan | None:
-        """Plan one iteration's trajectory-guided prefetches.
+    # ------------------------------------------------------------------ #
+    # Engine hooks
+    # ------------------------------------------------------------------ #
 
-        ``rows`` is the iteration's ``(B, L, J)`` gate output
-        (:meth:`IterationContext.iteration_rows`).  The matched target
-        rows of all ``(L−d)·B`` lanes go through one selection pass, then
-        split into per-layer actions.  None when nothing is planned.
-        """
-        trajectory = self._trajectory_lanes(rows)
-        if trajectory is None:
-            return None
-        matched, scores, lanes = trajectory
-        return self._build_plan(
-            matched, scores, *self._prefetch_block_for_lanes(*lanes)
+    def on_iteration_start(self, ctx: IterationContext) -> PolicyAction:
+        assert self.store is not None and self.matcher is not None
+        assert self.scorer is not None
+        self.scorer.reset_predictions()
+        # One trajectory match per iteration, planned here: the store is
+        # fixed until on_iteration_end and the routing is already sampled.
+        self._plan = None
+        if self.use_trajectory and not self.store.is_empty:
+            self._plan = self.trajectory_plan(ctx.iteration_rows())
+        action = PolicyAction(
+            sync_overheads={
+                "context_collect": self.overheads.context_collect_seconds
+            }
         )
-
-    def _semantic_lanes(self, ctx: IterationContext):
-        """Semantic search (§4.2) for the iteration's first layers: merge
-        the matched rows into the scorer and return the selection lanes
-        (rows, scores, targets, gaps), or None for no match."""
-        assert self.matcher is not None and self.scorer is not None
+        if not self.use_semantic or self.store.is_empty:
+            return action
         result = self.matcher.match_semantic(ctx.embeddings)
         if result is None:
-            return None
+            return action
         self.semantic_score_log.extend(float(s) for s in result.scores)
         # Semantic search covers layers [0, d); with trajectory search
         # disabled it must carry the entire iteration.
@@ -316,63 +303,16 @@ class FMoEPolicy(BasePolicy):
         merged = matched.max(axis=0)
         for layer in range(horizon):
             self.scorer.update_prediction_row(layer, merged[layer])
+        lanes = matched.reshape(-1, self.config.experts_per_layer)
         layers = np.tile(np.arange(horizon), ctx.batch_size)
-        return (
-            matched.reshape(-1, self.config.experts_per_layer),
+        ids, priorities, _ = self._prefetch_block_for_lanes(
+            lanes,
             np.repeat(result.scores, horizon),
             layers,
             layers + 1,
         )
-
-    # ------------------------------------------------------------------ #
-    # Engine hooks
-    # ------------------------------------------------------------------ #
-
-    def on_iteration_start(self, ctx: IterationContext) -> PolicyAction:
-        assert self.store is not None and self.matcher is not None
-        assert self.scorer is not None
-        self.scorer.reset_predictions()
-        self._plan = None
-        action = PolicyAction(
-            sync_overheads={
-                "context_collect": self.overheads.context_collect_seconds
-            }
-        )
-        if self.store.is_empty:
-            return action
-        # One trajectory match per iteration, planned here: the store is
-        # fixed until on_iteration_end and the routing is already sampled.
-        trajectory = semantic = None
-        if self.use_trajectory:
-            trajectory = self._trajectory_lanes(ctx.iteration_rows())
-        if self.use_semantic:
-            semantic = self._semantic_lanes(ctx)
-        lanes = [] if trajectory is None else [trajectory[2]]
-        if semantic is not None:
-            lanes.append(semantic)
-        if not lanes:
-            return action
-        # One selection pass over every lane of the iteration; each lane
-        # is selected on its own, so splitting the result is exact.
-        ids, priorities, counts = self._prefetch_block_for_lanes(
-            *(np.concatenate(parts) for parts in zip(*lanes))
-        )
-        if trajectory is not None:
-            matched, scores, _ = trajectory
-            cut = int(counts[: scores.size].sum())
-            self._plan = self._build_plan(
-                matched,
-                scores,
-                ids[:cut],
-                priorities[:cut],
-                counts[: scores.size],
-            )
-            ids, priorities = ids[cut:], priorities[cut:]
-        if semantic is not None:
-            action.prefetch_block = (ids, priorities)
-            action.async_overheads = {
-                "map_match": self.matcher.match_seconds()
-            }
+        action.prefetch_block = (ids, priorities)
+        action.async_overheads = {"map_match": self.matcher.match_seconds()}
         return action
 
     def on_gate_output(

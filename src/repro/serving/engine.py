@@ -855,15 +855,13 @@ class ServingEngine:
     ) -> None:
         if action is None:
             return
-        if action.sync_overheads:
-            for name, seconds in action.sync_overheads.items():
-                breakdown.add_sync(name, seconds)
-                self._now += seconds
+        for name, seconds in action.sync_overheads.items():
+            breakdown.add_sync(name, seconds)
+            self._now += seconds
         issue_time = self._now
-        if action.async_overheads:
-            for name, seconds in action.async_overheads.items():
-                breakdown.add_async(name, seconds)
-                issue_time += seconds
+        for name, seconds in action.async_overheads.items():
+            breakdown.add_async(name, seconds)
+            issue_time += seconds
         if self.prefetch_enabled and action.prefetch_block is not None:
             self._issue_prefetch_block(action, breakdown, issue_time)
 
